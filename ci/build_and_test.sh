@@ -38,7 +38,10 @@
 # the bad_frame.bin raw fixture is rejected without killing the daemon, and
 # both shutdown paths (SIGTERM, `xmem request --shutdown`) drain cleanly.
 # bench_server (in the golden loop above) pins the load-generator counters;
-# its requests/sec and latency numbers are normalized to <runtime>.
+# its requests/sec and latency numbers are normalized to <runtime>. The
+# registry churn smoke runs micro_allocator's BM_RegistryChurn briefly so
+# the shared allocator core sees a large unbounded live set on every
+# backend.
 set -euo pipefail
 
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -215,6 +218,40 @@ if [[ "${refine_all_failed}" == "0" ]]; then
   echo "plan refine-all smoke ok"
 fi
 rm -f "${refine_all_actual}"
+
+# --- allocator core churn smoke --------------------------------------------
+# BM_RegistryChurn drives every registry backend through one long
+# unbounded alloc/free churn on an 8 GiB device: a large live set, many
+# segments and a deep handle table, a shape no unit test reaches. The smoke
+# requires the bench to exit cleanly with a result line per registered
+# backend; timings are not checked. Skipped when google-benchmark is
+# unavailable (micro_allocator is not built then).
+
+micro_allocator="${BUILD_DIR}/bench/micro_allocator"
+if [[ -x "${micro_allocator}" ]]; then
+  churn_actual="$(mktemp)"
+  churn_failed=0
+  if ! "${micro_allocator}" --benchmark_filter=RegistryChurn \
+      --benchmark_min_time=0.01 > "${churn_actual}" 2>&1; then
+    echo "REGISTRY CHURN SMOKE: micro_allocator exited nonzero" >&2
+    cat "${churn_actual}" >&2
+    churn_failed=1
+  fi
+  for backend in $("${BUILD_DIR}/src/xmem_cli" backends | awk 'NF == 0 { exit } { print $1 }'); do
+    if ! grep -q "^BM_RegistryChurn/${backend} " "${churn_actual}"; then
+      echo "REGISTRY CHURN SMOKE: no result for backend ${backend}" >&2
+      churn_failed=1
+    fi
+  done
+  if [[ "${churn_failed}" == "0" ]]; then
+    echo "registry churn smoke ok"
+  else
+    GOLDEN_FAILED=1
+  fi
+  rm -f "${churn_actual}"
+else
+  echo "registry churn smoke skipped (micro_allocator not built)"
+fi
 
 # --- xmem fleet smoke ------------------------------------------------------
 # Fleet packing end to end: 6 jobs from 2 archetypes onto one 3060 with a

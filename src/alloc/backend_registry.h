@@ -3,17 +3,20 @@
 // The simulator, CLI, benches, and the parity harness all select backends
 // through this factory, so a new allocator model becomes available
 // everywhere by registering one name + factory pair (docs/ALLOCATORS.md
-// walks through it). Built-ins:
+// walks through it). Every built-in is a policy over the one block core in
+// alloc/block_core.h:
 //
 //   pytorch            — CachingAllocatorSim, the CUDACachingAllocator
 //                        port (§3.4)
-//   pytorch-expandable — expandable-segments + max_split_size variant of
-//                        the caching allocator
+//   pytorch-expandable — ExpandableSegmentsAllocator, the expandable-
+//                        segments + max_split_size variant of it
 //   tf-bfc             — TfBfcAllocator, TF-style growing-region BFC
 //                        (§6.4(ii))
 //   basic-bfc          — BasicBfcAllocator, DNNMem's single-level BFC
-//   cub-binned         — CUB CachingDeviceAllocator-style geometric bins
-//   stream-pool        — cudaMallocAsync-style stream-ordered pool
+//   cub-binned         — CubBinnedAllocator, CUB CachingDeviceAllocator-
+//                        style geometric bins (core handles + counters)
+//   stream-pool        — StreamPoolAllocator, cudaMallocAsync-style
+//                        stream-ordered pool
 //
 // Backends with tunable policy take *knobs*: a flat name → integer map
 // (JSON surface: `"allocator_config": {"<backend>": {"knob": value}}` on

@@ -1,46 +1,10 @@
 #include "alloc/caching_allocator.h"
 
-#include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 #include "util/json.h"
 
 namespace xmem::alloc {
-
-struct CachingAllocatorSim::Block {
-  std::uint64_t addr = 0;
-  std::int64_t size = 0;            ///< rounded size of this block
-  std::int64_t requested_size = 0;  ///< pre-rounding size (0 when cached)
-  bool allocated = false;
-  BlockId id = kInvalidBlock;       ///< valid only while allocated
-  Block* prev = nullptr;            ///< neighbour within the same segment
-  Block* next = nullptr;
-  std::uint64_t segment_addr = 0;   ///< base address of the owning segment
-  std::int64_t segment_size = 0;    ///< only meaningful on segment head
-  bool is_small_pool = false;
-};
-
-struct CachingAllocatorSim::BlockPool {
-  explicit BlockPool(bool small) : is_small(small) {}
-
-  struct Less {
-    bool operator()(const Block* a, const Block* b) const {
-      if (a->size != b->size) return a->size < b->size;
-      return a->addr < b->addr;
-    }
-  };
-
-  bool is_small;
-  std::set<Block*, Less> free_blocks;
-};
-
-CachingAllocatorSim::CachingAllocatorSim(SimulatedCudaDriver& driver)
-    : driver_(driver),
-      small_pool_(std::make_unique<BlockPool>(true)),
-      large_pool_(std::make_unique<BlockPool>(false)) {}
-
-CachingAllocatorSim::~CachingAllocatorSim() = default;
 
 std::int64_t CachingAllocatorSim::round_size(std::int64_t size) {
   if (size < kMinBlockSize) return kMinBlockSize;
@@ -53,252 +17,77 @@ std::int64_t CachingAllocatorSim::allocation_size(std::int64_t rounded_size) {
   return util::round_up(rounded_size, kRoundLarge);
 }
 
-bool CachingAllocatorSim::should_split(const Block& block,
-                                       std::int64_t size) const {
-  const std::int64_t remaining = block.size - size;
-  if (block.is_small_pool) return remaining >= kMinBlockSize;
-  return remaining > kSmallSize;
-}
+AllocOutcome CachingAllocatorSim::allocate(std::int64_t size) {
+  core_.check_request(size);
+  const std::int64_t rounded = round_size(size);
+  const int pool = rounded <= kSmallSize ? kSmallPool : kLargePool;
 
-CachingAllocatorSim::Block* CachingAllocatorSim::find_free_block(
-    BlockPool& pool, std::int64_t size) {
-  // Best fit: the first block whose size is >= the request, ties broken by
-  // address, exactly like the std::set search in the upstream allocator.
-  Block key;
-  key.size = size;
-  key.addr = 0;
-  auto it = pool.free_blocks.lower_bound(&key);
-  if (it == pool.free_blocks.end()) return nullptr;
-  Block* block = *it;
-  pool.free_blocks.erase(it);
-  return block;
-}
-
-CachingAllocatorSim::Block* CachingAllocatorSim::acquire_block() {
-  if (spare_blocks_.empty()) {
-    arena_.push_back(std::make_unique<Block>());
-    return arena_.back().get();
-  }
-  Block* block = spare_blocks_.back();
-  spare_blocks_.pop_back();
-  *block = Block{};
-  return block;
-}
-
-CachingAllocatorSim::Block* CachingAllocatorSim::live_block(BlockId id) const {
-  if (id < 1 || static_cast<std::size_t>(id) >= live_slots_.size()) {
-    return nullptr;
-  }
-  return live_slots_[static_cast<std::size_t>(id)];
-}
-
-CachingAllocatorSim::Block* CachingAllocatorSim::allocate_segment(
-    BlockPool& pool, std::int64_t alloc_size) {
-  auto addr = driver_.cuda_malloc(alloc_size);
-  if (!addr.has_value()) {
+  Block* block = core_.take_fit(pool, rounded);
+  if (block == nullptr) {
+    const std::int64_t segment = allocation_size(rounded);
+    block = core_.map_segment(segment, pool);
     // First-level miss at the device: reclaim every unsplit cached segment
     // (the step DNNMem's model omits — see Section 5.1) and retry once.
-    if (release_cached_segments() > 0) {
-      ++stats_.num_cache_reclaims;
-      addr = driver_.cuda_malloc(alloc_size);
+    if (block == nullptr && release_cached_segments() > 0) {
+      ++num_cache_reclaims_;
+      block = core_.map_segment(segment, pool);
     }
+    if (block == nullptr) return AllocOutcome{kInvalidBlock, true, rounded};
+    ++num_segments_allocated_;
   }
-  if (!addr.has_value()) return nullptr;
-
-  Block* raw = acquire_block();
-  raw->addr = *addr;
-  raw->size = alloc_size;
-  raw->allocated = false;
-  raw->segment_addr = *addr;
-  raw->segment_size = alloc_size;
-  raw->is_small_pool = pool.is_small;
-  segments_[raw->addr] = raw;
-
-  stats_.reserved_bytes += alloc_size;
-  stats_.peak_reserved_bytes =
-      std::max(stats_.peak_reserved_bytes, stats_.reserved_bytes);
-  ++stats_.num_segments_allocated;
-  return raw;
-}
-
-CachingAllocatorSim::Block* CachingAllocatorSim::split_block(Block* block,
-                                                             std::int64_t size,
-                                                             BlockPool& pool) {
-  assert(!block->allocated);
-  assert(block->size > size);
-  Block* remainder = acquire_block();
-  remainder->addr = block->addr + static_cast<std::uint64_t>(size);
-  remainder->size = block->size - size;
-  remainder->allocated = false;
-  remainder->segment_addr = block->segment_addr;
-  remainder->is_small_pool = block->is_small_pool;
-  remainder->prev = block;
-  remainder->next = block->next;
-  if (block->next != nullptr) block->next->prev = remainder;
-  block->next = remainder;
-  block->size = size;
-
-  pool.free_blocks.insert(remainder);
-  ++stats_.num_splits;
-  return remainder;
-}
-
-AllocOutcome CachingAllocatorSim::allocate(std::int64_t size) {
-  if (size <= 0) {
-    throw std::invalid_argument("CachingAllocatorSim::allocate: size <= 0");
+  // Upstream's should_split: keep a remainder of any 512 B multiple in the
+  // small pool, but only one larger than kSmallSize in the large pool.
+  const std::int64_t remaining = block->size - rounded;
+  if (pool == kSmallPool ? remaining >= kMinBlockSize
+                         : remaining > kSmallSize) {
+    core_.split(block, rounded);
   }
-  const std::int64_t rounded = round_size(size);
-  BlockPool& pool = rounded <= kSmallSize ? *small_pool_ : *large_pool_;
-
-  Block* block = find_free_block(pool, rounded);
-  if (block == nullptr) {
-    block = allocate_segment(pool, allocation_size(rounded));
-  }
-  if (block == nullptr) {
-    return AllocOutcome{kInvalidBlock, true, rounded};
-  }
-  if (should_split(*block, rounded)) {
-    split_block(block, rounded, pool);
-  }
-  block->allocated = true;
-  block->requested_size = size;
-  block->id = next_id_++;
-  const auto slot = static_cast<std::size_t>(block->id);
-  if (slot >= live_slots_.size()) {
-    live_slots_.resize(std::max(live_slots_.size() * 2, slot + 1), nullptr);
-  }
-  live_slots_[slot] = block;
-  ++num_live_;
-
-  stats_.allocated_bytes += block->size;
-  stats_.requested_bytes += size;
-  stats_.peak_allocated_bytes =
-      std::max(stats_.peak_allocated_bytes, stats_.allocated_bytes);
-  ++stats_.num_allocs;
-  return AllocOutcome{block->id, false, block->size};
-}
-
-void CachingAllocatorSim::coalesce_with_neighbors(Block* block,
-                                                  BlockPool& pool) {
-  // Merge `block` with its previous neighbour if that neighbour is free,
-  // then with the next. Merging erases the absorbed block.
-  if (Block* prev = block->prev; prev != nullptr && !prev->allocated) {
-    pool.free_blocks.erase(prev);
-    prev->size += block->size;
-    prev->next = block->next;
-    if (block->next != nullptr) block->next->prev = prev;
-    recycle_block(block);
-    block = prev;
-    ++stats_.num_coalesces;
-  }
-  if (Block* next = block->next; next != nullptr && !next->allocated) {
-    pool.free_blocks.erase(next);
-    block->size += next->size;
-    block->next = next->next;
-    if (next->next != nullptr) next->next->prev = block;
-    recycle_block(next);
-    ++stats_.num_coalesces;
-  }
-  pool.free_blocks.insert(block);
+  block->requested = size;
+  requested_bytes_ += size;
+  const fw::BackendAllocResult result = core_.activate(block);
+  return AllocOutcome{result.id, false, result.charged_bytes};
 }
 
 void CachingAllocatorSim::free(BlockId id) {
-  Block* block = live_block(id);
-  if (block == nullptr) {
-    throw std::logic_error("CachingAllocatorSim::free: unknown block id");
-  }
-  live_slots_[static_cast<std::size_t>(id)] = nullptr;
-  --num_live_;
-
-  stats_.allocated_bytes -= block->size;
-  stats_.requested_bytes -= block->requested_size;
-  ++stats_.num_frees;
-
-  block->allocated = false;
-  block->requested_size = 0;
-  block->id = kInvalidBlock;
-  BlockPool& pool = block->is_small_pool ? *small_pool_ : *large_pool_;
-  coalesce_with_neighbors(block, pool);
+  Block* block = core_.retire(id);
+  requested_bytes_ -= block->requested;
+  core_.coalesce(block);
 }
 
 std::int64_t CachingAllocatorSim::release_cached_segments() {
-  std::int64_t released = 0;
-  // A segment is releasable when its whole extent is one free block (the
-  // head with no neighbours), released in address order.
-  for (auto it = segments_.begin(); it != segments_.end();) {
-    Block* block = it->second;
-    if (block->allocated || block->next != nullptr) {
-      ++it;
-      continue;
-    }
-    BlockPool& pool = block->is_small_pool ? *small_pool_ : *large_pool_;
-    pool.free_blocks.erase(block);
-    driver_.cuda_free(block->segment_addr);
-    stats_.reserved_bytes -= block->size;
-    ++stats_.num_segments_released;
-    released += block->size;
-    recycle_block(block);
-    it = segments_.erase(it);
-  }
-  return released;
+  // A segment is releasable when its whole extent is one free block.
+  return core_.release_free_segments([] { return false; });
 }
-
-void CachingAllocatorSim::empty_cache() { release_cached_segments(); }
 
 void CachingAllocatorSim::backend_reset() {
-  // Release every driver reservation (one per segment head), then move all
-  // Block nodes — live or cached — to the spare pool so the next replay
-  // reuses them instead of hitting the heap. The flat live table keeps its
-  // capacity; only the occupied prefix is cleared.
-  for (auto& [addr, head] : segments_) {
-    driver_.cuda_free(head->segment_addr);
-    for (Block* b = head; b != nullptr;) {
-      Block* next = b->next;
-      spare_blocks_.push_back(b);
-      b = next;
-    }
-  }
-  segments_.clear();
-  std::fill(live_slots_.begin(), live_slots_.end(), nullptr);
-  num_live_ = 0;
-  small_pool_->free_blocks.clear();
-  large_pool_->free_blocks.clear();
-  stats_ = CachingAllocatorStats{};
-  next_id_ = 1;
+  core_.reset();
+  requested_bytes_ = 0;
+  num_segments_allocated_ = 0;
+  num_cache_reclaims_ = 0;
 }
 
-fw::BackendStats CachingAllocatorSim::backend_stats() const {
-  fw::BackendStats s;
-  s.active_bytes = stats_.allocated_bytes;
-  s.peak_active_bytes = stats_.peak_allocated_bytes;
-  s.reserved_bytes = stats_.reserved_bytes;
-  s.peak_reserved_bytes = stats_.peak_reserved_bytes;
-  s.num_allocs = stats_.num_allocs;
-  s.num_frees = stats_.num_frees;
-  s.num_segments =
-      stats_.num_segments_allocated - stats_.num_segments_released;
-  s.num_live_blocks = num_live_;
+CachingAllocatorStats CachingAllocatorSim::stats() const {
+  const fw::BackendStats& core = core_.stats();
+  CachingAllocatorStats s;
+  s.allocated_bytes = core.active_bytes;
+  s.peak_allocated_bytes = core.peak_active_bytes;
+  s.requested_bytes = requested_bytes_;
+  s.reserved_bytes = core.reserved_bytes;
+  s.peak_reserved_bytes = core.peak_reserved_bytes;
+  s.num_allocs = core.num_allocs;
+  s.num_frees = core.num_frees;
+  s.num_splits = core_.num_splits();
+  s.num_coalesces = core_.num_coalesces();
+  s.num_segments_allocated = num_segments_allocated_;
+  s.num_segments_released = num_segments_allocated_ - core.num_segments;
+  s.num_cache_reclaims = num_cache_reclaims_;
   return s;
 }
 
-bool CachingAllocatorSim::is_live(BlockId id) const {
-  return live_block(id) != nullptr;
-}
-
-std::int64_t CachingAllocatorSim::block_size(BlockId id) const {
-  const Block* block = live_block(id);
-  if (block == nullptr) {
-    throw std::logic_error("block_size: unknown block id");
-  }
-  return block->size;
-}
-
-std::uint64_t CachingAllocatorSim::block_addr(BlockId id) const {
-  const Block* block = live_block(id);
-  if (block == nullptr) {
-    throw std::logic_error("block_addr: unknown block id");
-  }
-  return block->addr;
+const BlockCore::Block& CachingAllocatorSim::live_block(BlockId id) const {
+  const Block* block = core_.live(id);
+  if (block == nullptr) throw std::logic_error("unknown block id");
+  return *block;
 }
 
 std::string snapshot_to_json(const std::vector<SegmentInfo>& segments,
@@ -329,15 +118,15 @@ std::string snapshot_to_json(const std::vector<SegmentInfo>& segments,
 
 std::vector<SegmentInfo> CachingAllocatorSim::snapshot() const {
   std::vector<SegmentInfo> segments;
-  for (const auto& [addr, head] : segments_) {
-    SegmentInfo seg;
-    seg.addr = head->segment_addr;
-    seg.is_small_pool = head->is_small_pool;
+  for (const Block* head : core_.segments()) {
+    SegmentInfo info;
+    info.addr = head->addr;
+    info.is_small_pool = head->pool == kSmallPool;
     for (const Block* b = head; b != nullptr; b = b->next) {
-      seg.blocks.push_back(BlockInfo{b->addr, b->size, b->allocated});
-      seg.size += b->size;
+      info.blocks.push_back(BlockInfo{b->addr, b->size, b->allocated});
+      info.size += b->size;
     }
-    segments.push_back(std::move(seg));
+    segments.push_back(std::move(info));
   }
   return segments;
 }

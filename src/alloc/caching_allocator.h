@@ -13,6 +13,9 @@
 //                         cached segments and retries; OOM is signalled only
 //                         when both levels fail after reclamation
 //
+// Blocks, free indexes, split, coalesce, segments and handles are the shared
+// BlockCore (alloc/block_core.h); this class is PyTorch's policy over it.
+//
 // Restrictions relative to upstream: single stream, no expandable segments,
 // no garbage-collection fraction, default (unlimited) max_split_size. These
 // features are off by default upstream and none of the paper's workloads
@@ -20,14 +23,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
-#include "alloc/cuda_driver_sim.h"
-#include "fw/backend.h"
+#include "alloc/block_core.h"
 
 namespace xmem::alloc {
 
@@ -88,8 +87,8 @@ class CachingAllocatorSim final : public fw::AllocatorBackend {
 
   /// The allocator does not own the driver; one driver may sit under several
   /// allocators in multi-process experiments.
-  explicit CachingAllocatorSim(SimulatedCudaDriver& driver);
-  ~CachingAllocatorSim();
+  explicit CachingAllocatorSim(SimulatedCudaDriver& driver)
+      : core_("pytorch", &driver) {}
 
   CachingAllocatorSim(const CachingAllocatorSim&) = delete;
   CachingAllocatorSim& operator=(const CachingAllocatorSim&) = delete;
@@ -108,9 +107,9 @@ class CachingAllocatorSim final : public fw::AllocatorBackend {
 
   /// Release every unsplit cached segment back to the driver (the
   /// torch.cuda.empty_cache() equivalent).
-  void empty_cache();
+  void empty_cache() { release_cached_segments(); }
 
-  const CachingAllocatorStats& stats() const { return stats_; }
+  CachingAllocatorStats stats() const;
 
   // fw::AllocatorBackend — the generic view the registry, simulator, and
   // parity harness use (docs/ALLOCATORS.md documents the contract).
@@ -121,7 +120,7 @@ class CachingAllocatorSim final : public fw::AllocatorBackend {
                                   outcome.oom};
   }
   void backend_free(std::int64_t id) override { free(id); }
-  fw::BackendStats backend_stats() const override;
+  fw::BackendStats backend_stats() const override { return core_.stats(); }
   std::int64_t backend_round(std::int64_t bytes) const override {
     return round_size(bytes);
   }
@@ -129,11 +128,11 @@ class CachingAllocatorSim final : public fw::AllocatorBackend {
   void backend_reset() override;
 
   /// Live-block introspection (tests + snapshot dumps).
-  bool is_live(BlockId id) const;
-  std::int64_t block_size(BlockId id) const;
-  std::uint64_t block_addr(BlockId id) const;
+  bool is_live(BlockId id) const { return core_.live(id) != nullptr; }
+  std::int64_t block_size(BlockId id) const { return live_block(id).size; }
+  std::uint64_t block_addr(BlockId id) const { return live_block(id).addr; }
   std::size_t num_live_blocks() const {
-    return static_cast<std::size_t>(num_live_);
+    return static_cast<std::size_t>(core_.stats().num_live_blocks);
   }
 
   /// Full segment map in address order, mirroring
@@ -141,37 +140,17 @@ class CachingAllocatorSim final : public fw::AllocatorBackend {
   std::vector<SegmentInfo> snapshot() const;
 
  private:
-  struct Block;
-  struct BlockPool;
+  using Block = BlockCore::Block;
+  static constexpr int kSmallPool = 0;
+  static constexpr int kLargePool = 1;
 
-  Block* find_free_block(BlockPool& pool, std::int64_t size);
-  Block* allocate_segment(BlockPool& pool, std::int64_t alloc_size);
-  bool should_split(const Block& block, std::int64_t size) const;
-  Block* split_block(Block* block, std::int64_t size, BlockPool& pool);
-  void coalesce_with_neighbors(Block* block, BlockPool& pool);
+  const Block& live_block(BlockId id) const;
   std::int64_t release_cached_segments();
-  Block* acquire_block();
-  void recycle_block(Block* block) { spare_blocks_.push_back(block); }
-  Block* live_block(BlockId id) const;
 
-  SimulatedCudaDriver& driver_;
-  std::unique_ptr<BlockPool> small_pool_;
-  std::unique_ptr<BlockPool> large_pool_;
-  // Block nodes are owned by a grow-only arena and threaded through the
-  // segments via prev/next; splits and coalesces are pure pointer surgery
-  // plus free-set updates — no per-event tree-node churn. Only the segment
-  // heads live in an ordered map (touched on segment alloc/release, the
-  // rare path), which release/snapshot walk in address order.
-  std::vector<std::unique_ptr<Block>> arena_;
-  std::vector<Block*> spare_blocks_;
-  std::map<std::uint64_t, Block*> segments_;
-  // Block ids are handed out sequentially and never reused within a run
-  // (backend_reset() restarts them), so the live table is a flat vector
-  // indexed by id — O(1) per event, and its capacity survives reset.
-  std::vector<Block*> live_slots_;
-  std::int64_t num_live_ = 0;
-  BlockId next_id_ = 1;
-  CachingAllocatorStats stats_;
+  BlockCore core_;
+  std::int64_t requested_bytes_ = 0;
+  std::int64_t num_segments_allocated_ = 0;
+  std::int64_t num_cache_reclaims_ = 0;
 };
 
 }  // namespace xmem::alloc

@@ -8,7 +8,7 @@ namespace xmem::alloc {
 
 CubBinnedAllocator::CubBinnedAllocator(SimulatedCudaDriver& driver,
                                        const CubConfig& config)
-    : driver_(driver), config_(config) {
+    : config_(config), core_("cub-binned", &driver) {
   if (config.bin_growth < 2) {
     throw std::invalid_argument(
         "cub-binned: malformed bin config: bin_growth must be >= 2 (got " +
@@ -54,98 +54,56 @@ std::int64_t CubBinnedAllocator::backend_round(std::int64_t bytes) const {
 }
 
 fw::BackendAllocResult CubBinnedAllocator::backend_alloc(std::int64_t bytes) {
-  if (bytes <= 0) {
-    throw std::invalid_argument("CubBinnedAllocator::backend_alloc: bytes <= 0");
-  }
+  core_.check_request(bytes);
   const std::int64_t bin_bytes = backend_round(bytes);
   const bool oversize = bin_bytes > largest_bin_bytes_;
 
-  std::uint64_t addr = 0;
+  BlockCore::Block* block = nullptr;
   auto cached_it = oversize ? cached_.end() : cached_.find(bin_bytes);
   if (cached_it != cached_.end() && !cached_it->second.empty()) {
     // Reuse the lowest-addressed cached block of this bin.
-    auto addr_it = cached_it->second.begin();
-    addr = *addr_it;
-    cached_it->second.erase(addr_it);
+    block = *cached_it->second.begin();
+    cached_it->second.erase(cached_it->second.begin());
     cached_bytes_ -= bin_bytes;
   } else {
-    auto dev = driver_.cuda_malloc(bin_bytes);
-    if (!dev.has_value() && cached_bytes_ > 0) {
+    block = core_.map_block(bin_bytes, 0);
+    if (block == nullptr && cached_bytes_ > 0) {
       // cub's failure path: free every cached block, then retry once.
       free_all_cached();
-      dev = driver_.cuda_malloc(bin_bytes);
+      block = core_.map_block(bin_bytes, 0);
     }
-    if (!dev.has_value()) {
-      return fw::BackendAllocResult{-1, 0, true};
-    }
-    addr = *dev;
+    if (block == nullptr) return fw::BackendAllocResult{-1, 0, true};
     ++num_driver_mallocs_;
-    stats_.reserved_bytes += bin_bytes;
-    stats_.peak_reserved_bytes =
-        std::max(stats_.peak_reserved_bytes, stats_.reserved_bytes);
-    ++stats_.num_segments;
   }
-
-  const std::int64_t id = next_id_++;
-  live_[id] = LiveBlock{addr, bin_bytes, oversize};
-  stats_.active_bytes += bin_bytes;
-  stats_.peak_active_bytes =
-      std::max(stats_.peak_active_bytes, stats_.active_bytes);
-  ++stats_.num_allocs;
-  return fw::BackendAllocResult{id, bin_bytes, false};
+  return core_.activate(block);
 }
 
 void CubBinnedAllocator::backend_free(std::int64_t id) {
-  auto it = live_.find(id);
-  if (it == live_.end()) {
-    throw std::logic_error("CubBinnedAllocator::backend_free: unknown id");
-  }
-  const LiveBlock block = it->second;
-  live_.erase(it);
-  stats_.active_bytes -= block.bytes;
-  ++stats_.num_frees;
-
-  if (block.oversize ||
-      cached_bytes_ + block.bytes > config_.max_cached_bytes) {
-    driver_.cuda_free(block.addr);
-    stats_.reserved_bytes -= block.bytes;
-    --stats_.num_segments;
+  BlockCore::Block* block = core_.retire(id);
+  // Past the largest bin blocks are never cached.
+  if (block->size > largest_bin_bytes_ ||
+      cached_bytes_ + block->size > config_.max_cached_bytes) {
+    core_.unmap(block);
   } else {
-    cached_[block.bytes].insert(block.addr);
-    cached_bytes_ += block.bytes;
+    cached_[block->size].insert(block);
+    cached_bytes_ += block->size;
   }
 }
 
 void CubBinnedAllocator::free_all_cached() {
-  for (auto& [bin_bytes, addrs] : cached_) {
-    for (const std::uint64_t addr : addrs) {
-      driver_.cuda_free(addr);
-      stats_.reserved_bytes -= bin_bytes;
-      --stats_.num_segments;
-    }
-    addrs.clear();
+  for (auto& [bin_bytes, blocks] : cached_) {
+    for (BlockCore::Block* block : blocks) core_.unmap(block);
+    blocks.clear();
   }
   cached_bytes_ = 0;
 }
 
-void CubBinnedAllocator::backend_trim() { free_all_cached(); }
-
 void CubBinnedAllocator::backend_reset() {
-  free_all_cached();
-  for (const auto& [id, block] : live_) {
-    driver_.cuda_free(block.addr);
-  }
-  live_.clear();
+  // The core frees every mapped block, cached or live.
   cached_.clear();
-  next_id_ = 1;
+  cached_bytes_ = 0;
+  core_.reset();
   num_driver_mallocs_ = 0;
-  stats_ = fw::BackendStats{};
-}
-
-fw::BackendStats CubBinnedAllocator::backend_stats() const {
-  fw::BackendStats s = stats_;
-  s.num_live_blocks = static_cast<std::int64_t>(live_.size());
-  return s;
 }
 
 }  // namespace xmem::alloc

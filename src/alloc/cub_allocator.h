@@ -14,6 +14,9 @@
 //     the driver (max_cached_bytes = 0 disables caching entirely).
 //   * backend_trim() is FreeAllCached().
 //
+// Handles and the shared counters come from the block core
+// (alloc/block_core.h); blocks sit outside its segments.
+//
 // Defaults (bin_growth=2, min_bin=9 → 512 B, max_bin=25 → 32 MiB,
 // max_cached_bytes=256 MiB) keep the pow-2 rounding waste inside the parity
 // harness's 2x divergence band; CTranslate2 ships growth=4/min=3/max=12
@@ -23,10 +26,8 @@
 #include <cstdint>
 #include <map>
 #include <set>
-#include <vector>
 
-#include "alloc/cuda_driver_sim.h"
-#include "fw/backend.h"
+#include "alloc/block_core.h"
 
 namespace xmem::alloc {
 
@@ -51,9 +52,9 @@ class CubBinnedAllocator final : public fw::AllocatorBackend {
   std::string_view backend_name() const override { return "cub-binned"; }
   fw::BackendAllocResult backend_alloc(std::int64_t bytes) override;
   void backend_free(std::int64_t id) override;
-  fw::BackendStats backend_stats() const override;
+  fw::BackendStats backend_stats() const override { return core_.stats(); }
   std::int64_t backend_round(std::int64_t bytes) const override;
-  void backend_trim() override;
+  void backend_trim() override { free_all_cached(); }
   void backend_reset() override;
 
   std::int64_t cached_bytes() const { return cached_bytes_; }
@@ -61,25 +62,24 @@ class CubBinnedAllocator final : public fw::AllocatorBackend {
   std::int64_t num_driver_mallocs() const { return num_driver_mallocs_; }
 
  private:
-  struct LiveBlock {
-    std::uint64_t addr = 0;
-    std::int64_t bytes = 0;   ///< bin size (or exact size when oversize)
-    bool oversize = false;    ///< past the largest bin: never cached
+  struct ByAddr {
+    bool operator()(const BlockCore::Block* a,
+                    const BlockCore::Block* b) const {
+      return a->addr < b->addr;
+    }
   };
 
   void free_all_cached();
 
-  SimulatedCudaDriver& driver_;
   CubConfig config_;
   std::int64_t largest_bin_bytes_ = 0;
-  // Cached (freed, still reserved) blocks per bin size, lowest address
-  // first for deterministic reuse.
-  std::map<std::int64_t, std::set<std::uint64_t>> cached_;
+  // Every block is a standalone driver mapping, outside any segment.
+  BlockCore core_;
+  // Cached (freed, still mapped) blocks per bin size, lowest address first
+  // for deterministic reuse.
+  std::map<std::int64_t, std::set<BlockCore::Block*, ByAddr>> cached_;
   std::int64_t cached_bytes_ = 0;
-  std::map<std::int64_t, LiveBlock> live_;
-  std::int64_t next_id_ = 1;
   std::int64_t num_driver_mallocs_ = 0;
-  fw::BackendStats stats_;
 };
 
 }  // namespace xmem::alloc

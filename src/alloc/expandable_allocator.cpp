@@ -1,8 +1,7 @@
 #include "alloc/expandable_allocator.h"
 
-#include <algorithm>
-#include <cassert>
 #include <stdexcept>
+#include <string>
 
 namespace xmem::alloc {
 
@@ -11,29 +10,15 @@ namespace {
 // allocator's addresses (what block handles point into), disjoint from the
 // driver's VA space, and far enough apart that neither segment can grow
 // into the other in any simulated workload.
-constexpr std::uint64_t kSmallSegmentBase = 0x010000000000ULL;  // 1 TiB
-constexpr std::uint64_t kLargeSegmentBase = 0x400000000000ULL;  // 64 TiB
-}  // namespace
-
-struct ExpandableSegmentsAllocator::Block {
-  std::uint64_t addr = 0;
-  std::int64_t size = 0;
-  bool allocated = false;
-  std::int64_t id = -1;
-  Block* prev = nullptr;
-  Block* next = nullptr;
-  Segment* owner = nullptr;
+constexpr std::uint64_t kSegmentBase[2] = {
+    0x010000000000ULL,  // small pool: 1 TiB
+    0x400000000000ULL,  // large pool: 64 TiB
 };
-
-bool ExpandableSegmentsAllocator::Less::operator()(const Block* a,
-                                                   const Block* b) const {
-  if (a->size != b->size) return a->size < b->size;
-  return a->addr < b->addr;
-}
+}  // namespace
 
 ExpandableSegmentsAllocator::ExpandableSegmentsAllocator(
     SimulatedCudaDriver& driver, const ExpandableConfig& config)
-    : driver_(driver), config_(config) {
+    : config_(config), core_("pytorch-expandable", &driver) {
   if (config.page_bytes <= 0) {
     throw std::invalid_argument(
         "pytorch-expandable: page_bytes must be > 0 (got " +
@@ -45,244 +30,97 @@ ExpandableSegmentsAllocator::ExpandableSegmentsAllocator(
         "(0 = unlimited; got " +
         std::to_string(config.max_split_size_bytes) + ")");
   }
-  small_.base = kSmallSegmentBase;
-  large_.base = kLargeSegmentBase;
 }
 
-ExpandableSegmentsAllocator::~ExpandableSegmentsAllocator() = default;
-
-std::int64_t ExpandableSegmentsAllocator::round_size(std::int64_t size) {
-  if (size < kMinBlockSize) return kMinBlockSize;
-  return util::round_up(size, kMinBlockSize);
-}
-
-std::unique_ptr<ExpandableSegmentsAllocator::Block>
-ExpandableSegmentsAllocator::acquire_block() {
-  if (spare_blocks_.empty()) return std::make_unique<Block>();
-  auto block = std::move(spare_blocks_.back());
-  spare_blocks_.pop_back();
-  *block = Block{};
-  return block;
-}
-
-void ExpandableSegmentsAllocator::recycle_block(std::uint64_t addr) {
-  auto it = blocks_.find(addr);
-  assert(it != blocks_.end());
-  spare_blocks_.push_back(std::move(it->second));
-  blocks_.erase(it);
-}
-
-ExpandableSegmentsAllocator::Segment& ExpandableSegmentsAllocator::pool_for(
-    std::int64_t rounded) {
-  return rounded <= kSmallSize ? small_ : large_;
-}
-
-bool ExpandableSegmentsAllocator::may_split(const Block& block) const {
-  const std::int64_t cap = config_.max_split_size_bytes;
-  return cap == 0 || block.size <= cap;
-}
-
-ExpandableSegmentsAllocator::Block*
-ExpandableSegmentsAllocator::find_free_block(Segment& seg,
-                                             std::int64_t rounded) {
-  Block key;
-  key.size = rounded;
-  key.addr = 0;
-  const std::int64_t cap = config_.max_split_size_bytes;
-  for (auto it = seg.free_blocks.lower_bound(&key);
-       it != seg.free_blocks.end(); ++it) {
-    Block* block = *it;
-    // max_split_size semantics: an over-cap free block is never split, so
-    // it may only be reused (whole) by a request that is itself over the
-    // cap — small requests skip past it rather than swallowing it.
-    const bool oversize = cap > 0 && block->size > cap;
-    if (!oversize || rounded > cap) {
-      seg.free_blocks.erase(it);
-      return block;
-    }
-  }
-  return nullptr;
-}
-
-ExpandableSegmentsAllocator::Block* ExpandableSegmentsAllocator::expand(
-    Segment& seg, std::int64_t rounded) {
+BlockCore::Block* ExpandableSegmentsAllocator::expand(int pool,
+                                                      std::int64_t rounded) {
   // Grow the segment by just what the (possibly free) tail is missing,
   // rounded up to the page granularity. A free tail that is already large
   // enough only reaches here when the split cap blocked its reuse — in that
   // case it must not be extended (that would hand an over-cap block to an
   // under-cap request); a fresh block is appended past it instead.
-  std::int64_t needed = rounded;
-  Block* tail = seg.tail;
-  const bool extend_tail =
+  BlockCore::Block* tail = tail_[pool];
+  const bool into_tail =
       tail != nullptr && !tail->allocated && tail->size < rounded;
-  if (extend_tail) needed -= tail->size;
-  const std::int64_t grow = util::round_up(needed, config_.page_bytes);
+  const std::int64_t grow = util::round_up(
+      into_tail ? rounded - tail->size : rounded, config_.page_bytes);
 
-  auto addr = driver_.cuda_malloc(grow);
-  if (!addr.has_value()) {
+  BlockCore::Block* extent = core_.map_block(grow, pool);
+  if (extent == nullptr) {
     // Return the other segment's trailing free extents and retry once (the
     // expandable analogue of the reclaim-then-retry step).
-    trim_segment(&seg == &small_ ? large_ : small_);
-    addr = driver_.cuda_malloc(grow);
+    trim(pool == kSmallPool ? kLargePool : kSmallPool);
+    extent = core_.map_block(grow, pool);
   }
-  if (!addr.has_value()) return nullptr;
-
-  seg.extents.push_back(Extent{*addr, grow});
-  stats_.reserved_bytes += grow;
-  stats_.peak_reserved_bytes =
-      std::max(stats_.peak_reserved_bytes, stats_.reserved_bytes);
-
-  Block* result = nullptr;
-  if (extend_tail) {
-    seg.free_blocks.erase(tail);
+  if (extent == nullptr) return nullptr;
+  extents_[pool].push_back(extent);
+  if (into_tail) {
+    core_.unlist(tail);
     tail->size += grow;
-    result = tail;
-  } else {
-    auto block = acquire_block();
-    block->addr = seg.base + static_cast<std::uint64_t>(seg.span);
-    block->size = grow;
-    block->prev = tail;
-    block->owner = &seg;
-    if (tail != nullptr) tail->next = block.get();
-    seg.tail = block.get();
-    result = block.get();
-    blocks_[result->addr] = std::move(block);
+    return tail;
   }
-  seg.span += grow;
-  return result;
+  // An empty segment has no extents left, so it restarts at its base.
+  tail_[pool] = tail == nullptr
+                    ? core_.new_block(kSegmentBase[pool], grow, pool)
+                    : core_.append(tail, grow);
+  return tail_[pool];
 }
 
 fw::BackendAllocResult ExpandableSegmentsAllocator::backend_alloc(
     std::int64_t bytes) {
-  if (bytes <= 0) {
-    throw std::invalid_argument(
-        "ExpandableSegmentsAllocator::backend_alloc: bytes <= 0");
-  }
+  core_.check_request(bytes);
   const std::int64_t rounded = round_size(bytes);
-  Segment& seg = pool_for(rounded);
+  const int pool = rounded <= kSmallSize ? kSmallPool : kLargePool;
+  // max_split_size semantics: an over-cap free block is never split, so it
+  // may only be reused (whole) by a request that is itself over the cap —
+  // smaller requests skip past it rather than swallowing it.
+  const std::int64_t cap = config_.max_split_size_bytes;
+  const auto oversize = [cap](const BlockCore::Block& block) {
+    return cap > 0 && block.size > cap;
+  };
+  BlockCore::Block* block =
+      core_.take_fit(pool, rounded, [&](const BlockCore::Block& candidate) {
+        return !oversize(candidate) || rounded > cap;
+      });
+  if (block == nullptr) block = expand(pool, rounded);
+  if (block == nullptr) return fw::BackendAllocResult{-1, 0, true};
 
-  Block* block = find_free_block(seg, rounded);
-  if (block == nullptr) block = expand(seg, rounded);
-  if (block == nullptr) {
-    return fw::BackendAllocResult{-1, 0, true};
-  }
-
-  const std::int64_t remainder = block->size - rounded;
   const std::int64_t min_remainder =
-      (&seg == &small_) ? kMinBlockSize : kSmallSize + 1;
-  if (remainder >= min_remainder && may_split(*block)) {
-    auto rest = acquire_block();
-    rest->addr = block->addr + static_cast<std::uint64_t>(rounded);
-    rest->size = remainder;
-    rest->prev = block;
-    rest->next = block->next;
-    rest->owner = &seg;
-    if (block->next != nullptr) block->next->prev = rest.get();
-    block->next = rest.get();
-    block->size = rounded;
-    if (seg.tail == block) seg.tail = rest.get();
-    seg.free_blocks.insert(rest.get());
-    blocks_[rest->addr] = std::move(rest);
+      pool == kSmallPool ? kMinBlockSize : kSmallSize + 1;
+  if (block->size - rounded >= min_remainder && !oversize(*block)) {
+    note_tail(core_.split(block, rounded));
   }
-
-  block->allocated = true;
-  block->id = next_id_++;
-  live_[block->id] = block;
-  stats_.active_bytes += block->size;
-  stats_.peak_active_bytes =
-      std::max(stats_.peak_active_bytes, stats_.active_bytes);
-  ++stats_.num_allocs;
-  return fw::BackendAllocResult{block->id, block->size, false};
+  return core_.activate(block);
 }
 
-void ExpandableSegmentsAllocator::backend_free(std::int64_t id) {
-  auto it = live_.find(id);
-  if (it == live_.end()) {
-    throw std::logic_error(
-        "ExpandableSegmentsAllocator::backend_free: unknown id");
-  }
-  Block* block = it->second;
-  live_.erase(it);
-  stats_.active_bytes -= block->size;
-  ++stats_.num_frees;
-  block->allocated = false;
-  block->id = -1;
-  Segment& seg = *block->owner;
-
-  if (Block* prev = block->prev; prev != nullptr && !prev->allocated) {
-    seg.free_blocks.erase(prev);
-    prev->size += block->size;
-    prev->next = block->next;
-    if (block->next != nullptr) block->next->prev = prev;
-    if (seg.tail == block) seg.tail = prev;
-    recycle_block(block->addr);
-    block = prev;
-  }
-  if (Block* next = block->next; next != nullptr && !next->allocated) {
-    seg.free_blocks.erase(next);
-    block->size += next->size;
-    block->next = next->next;
-    if (next->next != nullptr) next->next->prev = block;
-    if (seg.tail == next) seg.tail = block;
-    recycle_block(next->addr);
-  }
-  seg.free_blocks.insert(block);
-}
-
-void ExpandableSegmentsAllocator::trim_segment(Segment& seg) {
+void ExpandableSegmentsAllocator::trim(int pool) {
   // Release trailing wholly-free extents, newest first — the only part of
   // an expandable segment that can be unmapped without moving live blocks.
-  while (!seg.extents.empty()) {
-    Block* tail = seg.tail;
-    if (tail == nullptr || tail->allocated) break;
-    const Extent extent = seg.extents.back();
-    if (tail->size < extent.bytes) break;
-    driver_.cuda_free(extent.driver_addr);
-    stats_.reserved_bytes -= extent.bytes;
-    seg.span -= extent.bytes;
-    seg.free_blocks.erase(tail);
-    if (tail->size == extent.bytes) {
-      if (tail->prev != nullptr) tail->prev->next = nullptr;
-      seg.tail = tail->prev;
-      recycle_block(tail->addr);
+  std::vector<BlockCore::Block*>& extents = extents_[pool];
+  while (!extents.empty()) {
+    BlockCore::Block* tail = tail_[pool];
+    const std::int64_t bytes = extents.back()->size;
+    if (tail == nullptr || tail->allocated || tail->size < bytes) break;
+    core_.unmap(extents.back());
+    extents.pop_back();
+    core_.unlist(tail);
+    if (tail->size > bytes) {
+      tail->size -= bytes;
+      core_.list(tail);
     } else {
-      tail->size -= extent.bytes;
-      seg.free_blocks.insert(tail);
+      tail_[pool] = tail->prev;
+      core_.drop_last(tail);
     }
-    seg.extents.pop_back();
   }
-}
-
-void ExpandableSegmentsAllocator::backend_trim() {
-  trim_segment(small_);
-  trim_segment(large_);
 }
 
 void ExpandableSegmentsAllocator::backend_reset() {
-  for (Segment* seg : {&small_, &large_}) {
-    for (const Extent& extent : seg->extents) {
-      driver_.cuda_free(extent.driver_addr);
-    }
-    seg->extents.clear();
-    seg->free_blocks.clear();
-    seg->tail = nullptr;
-    seg->span = 0;
+  // The core frees the extents with every other mapped block.
+  for (int pool : {kSmallPool, kLargePool}) {
+    extents_[pool].clear();
+    tail_[pool] = nullptr;
   }
-  for (auto& [addr, block] : blocks_) {
-    spare_blocks_.push_back(std::move(block));
-  }
-  blocks_.clear();
-  live_.clear();
-  next_id_ = 1;
-  stats_ = fw::BackendStats{};
-}
-
-fw::BackendStats ExpandableSegmentsAllocator::backend_stats() const {
-  fw::BackendStats s = stats_;
-  s.num_segments = static_cast<std::int64_t>(small_.extents.size() +
-                                             large_.extents.size());
-  s.num_live_blocks = static_cast<std::int64_t>(live_.size());
-  return s;
+  core_.reset();
 }
 
 }  // namespace xmem::alloc

@@ -20,16 +20,15 @@
 //     0 means unlimited (the upstream default).
 //   * backend_trim() releases the trailing wholly-free extents of each
 //     segment (the only part an expandable segment can return).
+//
+// Each expandable segment is one block list of the shared block core
+// (alloc/block_core.h), grown and shrunk at its tail.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <set>
 #include <vector>
 
-#include "alloc/cuda_driver_sim.h"
-#include "fw/backend.h"
+#include "alloc/block_core.h"
 
 namespace xmem::alloc {
 
@@ -53,61 +52,47 @@ class ExpandableSegmentsAllocator final : public fw::AllocatorBackend {
   /// page_bytes, negative split cap).
   ExpandableSegmentsAllocator(SimulatedCudaDriver& driver,
                               const ExpandableConfig& config);
-  ~ExpandableSegmentsAllocator();
   ExpandableSegmentsAllocator(const ExpandableSegmentsAllocator&) = delete;
   ExpandableSegmentsAllocator& operator=(const ExpandableSegmentsAllocator&) =
       delete;
 
-  static std::int64_t round_size(std::int64_t size);
+  static std::int64_t round_size(std::int64_t size) {
+    return util::round_up(std::max(size, kMinBlockSize), kMinBlockSize);
+  }
 
   // fw::AllocatorBackend.
   std::string_view backend_name() const override { return "pytorch-expandable"; }
   fw::BackendAllocResult backend_alloc(std::int64_t bytes) override;
-  void backend_free(std::int64_t id) override;
-  fw::BackendStats backend_stats() const override;
+  void backend_free(std::int64_t id) override { note_tail(core_.free(id)); }
+  fw::BackendStats backend_stats() const override { return core_.stats(); }
   std::int64_t backend_round(std::int64_t bytes) const override {
     return round_size(bytes);
   }
-  void backend_trim() override;
+  void backend_trim() override {
+    trim(kSmallPool);
+    trim(kLargePool);
+  }
   void backend_reset() override;
 
  private:
-  struct Block;
-  struct Less {
-    bool operator()(const Block* a, const Block* b) const;
-  };
-  /// One driver reservation backing a slice of a segment's VA range.
-  struct Extent {
-    std::uint64_t driver_addr = 0;
-    std::int64_t bytes = 0;
-  };
-  /// An expandable segment: a contiguous VA range [base, base+span) backed
-  /// by a stack of extents, holding one block list.
-  struct Segment {
-    std::uint64_t base = 0;
-    std::int64_t span = 0;          ///< VA bytes currently backed
-    std::vector<Extent> extents;    ///< growth history, newest last
-    std::set<Block*, Less> free_blocks;
-    Block* tail = nullptr;          ///< last block in address order
-  };
+  static constexpr int kSmallPool = 0;
+  static constexpr int kLargePool = 1;
 
-  Segment& pool_for(std::int64_t rounded);
-  Block* find_free_block(Segment& seg, std::int64_t rounded);
-  Block* expand(Segment& seg, std::int64_t rounded);
-  bool may_split(const Block& block) const;
-  void trim_segment(Segment& seg);
-  std::unique_ptr<Block> acquire_block();
-  void recycle_block(std::uint64_t addr);
+  BlockCore::Block* expand(int pool, std::int64_t rounded);
+  void trim(int pool);
+  /// Record `block` as its segment's tail if it ends the block list.
+  void note_tail(BlockCore::Block* block) {
+    if (block->next == nullptr) tail_[block->pool] = block;
+  }
 
-  SimulatedCudaDriver& driver_;
   ExpandableConfig config_;
-  Segment small_;
-  Segment large_;
-  std::map<std::uint64_t, std::unique_ptr<Block>> blocks_;
-  std::map<std::int64_t, Block*> live_;
-  std::vector<std::unique_ptr<Block>> spare_blocks_;
-  std::int64_t next_id_ = 1;
-  fw::BackendStats stats_;
+  BlockCore core_;
+  // Per pool: the last block of the segment's list (null while empty) and
+  // the extents backing the list, newest last. An extent is one driver
+  // reservation, kept as a standalone core mapping (its address is the
+  // driver's, not the segment's); the list spans exactly their bytes.
+  BlockCore::Block* tail_[2] = {nullptr, nullptr};
+  std::vector<BlockCore::Block*> extents_[2];
 };
 
 }  // namespace xmem::alloc

@@ -9,17 +9,13 @@
 // The simulation is single-stream like the rest of the tower, so "at the
 // next synchronization" collapses to "immediately after the free"; what the
 // knob controls is how much idle (reserved minus active) memory the pool is
-// allowed to keep holding.
+// allowed to keep holding. Chunks are segments of the shared block core
+// (alloc/block_core.h).
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <set>
-#include <vector>
 
-#include "alloc/cuda_driver_sim.h"
-#include "fw/backend.h"
+#include "alloc/block_core.h"
 
 namespace xmem::alloc {
 
@@ -40,7 +36,6 @@ class StreamPoolAllocator final : public fw::AllocatorBackend {
   /// chunk_bytes, negative release threshold).
   StreamPoolAllocator(SimulatedCudaDriver& driver,
                       const StreamPoolConfig& config);
-  ~StreamPoolAllocator();
   StreamPoolAllocator(const StreamPoolAllocator&) = delete;
   StreamPoolAllocator& operator=(const StreamPoolAllocator&) = delete;
 
@@ -48,36 +43,25 @@ class StreamPoolAllocator final : public fw::AllocatorBackend {
   std::string_view backend_name() const override { return "stream-pool"; }
   fw::BackendAllocResult backend_alloc(std::int64_t bytes) override;
   void backend_free(std::int64_t id) override;
-  fw::BackendStats backend_stats() const override;
+  fw::BackendStats backend_stats() const override { return core_.stats(); }
   std::int64_t backend_round(std::int64_t bytes) const override {
     return util::round_up(bytes, kAlignment);
   }
-  void backend_trim() override;
-  void backend_reset() override;
+  void backend_trim() override { release_free_chunks(0); }
+  void backend_reset() override {
+    core_.reset();
+    num_threshold_releases_ = 0;
+  }
 
   /// Chunks released by threshold trimming so far (not by trim/reset).
   std::int64_t num_threshold_releases() const { return num_threshold_releases_; }
 
  private:
-  struct Block;
-  struct Less {
-    bool operator()(const Block* a, const Block* b) const;
-  };
-
-  Block* grow(std::int64_t rounded);
   void release_free_chunks(std::int64_t keep_idle_bytes);
-  std::unique_ptr<Block> acquire_block();
-  void recycle_block(std::uint64_t addr);
 
-  SimulatedCudaDriver& driver_;
+  BlockCore core_;
   StreamPoolConfig config_;
-  std::map<std::uint64_t, std::unique_ptr<Block>> blocks_;
-  std::map<std::int64_t, Block*> live_;
-  std::set<Block*, Less> free_blocks_;
-  std::vector<std::unique_ptr<Block>> spare_blocks_;
-  std::int64_t next_id_ = 1;
   std::int64_t num_threshold_releases_ = 0;
-  fw::BackendStats stats_;
 };
 
 }  // namespace xmem::alloc

@@ -7,25 +7,17 @@
 //   * one pool, no 2 MiB/20 MiB buffer classes: memory is acquired as
 //     growing *regions*, each try doubling the previous region size;
 //   * regions are never returned to the device (no empty_cache, no
-//     reclaim-then-retry) — OOM is driver failure at region-growth time.
+//     reclaim-then-retry) — OOM is driver failure at region-growth time,
+//     after backing off through smaller regions (each size tried once).
+//
+// The shared core is alloc/block_core.h; this class is only those rules.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <set>
-#include <vector>
 
-#include "alloc/cuda_driver_sim.h"
-#include "fw/backend.h"
+#include "alloc/block_core.h"
 
 namespace xmem::alloc {
-
-struct TfAllocOutcome {
-  std::int64_t id = -1;
-  bool oom = false;
-  std::int64_t rounded_size = 0;
-};
 
 struct TfBfcStats {
   std::int64_t allocated_bytes = 0;
@@ -41,64 +33,50 @@ class TfBfcAllocator final : public fw::AllocatorBackend {
   static constexpr std::int64_t kMinAllocationSize = 256;
   static constexpr std::int64_t kInitialRegionSize = 2 * 1024 * 1024;
 
-  explicit TfBfcAllocator(SimulatedCudaDriver& driver);
-  ~TfBfcAllocator();
+  explicit TfBfcAllocator(SimulatedCudaDriver& driver)
+      : core_("tf-bfc", &driver) {}
   TfBfcAllocator(const TfBfcAllocator&) = delete;
   TfBfcAllocator& operator=(const TfBfcAllocator&) = delete;
 
-  static std::int64_t round_size(std::int64_t bytes);
+  static std::int64_t round_size(std::int64_t bytes) {
+    return util::round_up(std::max(bytes, kMinAllocationSize),
+                          kMinAllocationSize);
+  }
 
-  TfAllocOutcome allocate(std::int64_t bytes);
-  void free(std::int64_t id);
+  /// On OOM the result charges the rounded request, like the pytorch port.
+  fw::BackendAllocResult allocate(std::int64_t bytes);
+  void free(std::int64_t id) { core_.free(id); }
 
-  const TfBfcStats& stats() const { return stats_; }
-  std::size_t num_live() const { return live_.size(); }
+  TfBfcStats stats() const {
+    const fw::BackendStats& s = core_.stats();
+    return TfBfcStats{s.active_bytes, s.peak_active_bytes, s.reserved_bytes,
+                      s.num_segments, s.num_allocs, s.num_frees};
+  }
+  std::size_t num_live() const {
+    return static_cast<std::size_t>(core_.stats().num_live_blocks);
+  }
 
   // fw::AllocatorBackend. Regions are never returned to the device, so
   // reserved_bytes is monotone and backend_trim() stays the default no-op.
   std::string_view backend_name() const override { return "tf-bfc"; }
   fw::BackendAllocResult backend_alloc(std::int64_t bytes) override {
-    const TfAllocOutcome outcome = allocate(bytes);
-    return fw::BackendAllocResult{outcome.id, outcome.rounded_size,
-                                  outcome.oom};
+    return allocate(bytes);
   }
   void backend_free(std::int64_t id) override { free(id); }
-  fw::BackendStats backend_stats() const override {
-    fw::BackendStats s;
-    s.active_bytes = stats_.allocated_bytes;
-    s.peak_active_bytes = stats_.peak_allocated_bytes;
-    s.reserved_bytes = stats_.region_bytes;
-    s.peak_reserved_bytes = stats_.region_bytes;
-    s.num_allocs = stats_.num_allocs;
-    s.num_frees = stats_.num_frees;
-    s.num_segments = stats_.num_regions;
-    s.num_live_blocks = static_cast<std::int64_t>(live_.size());
-    return s;
-  }
+  fw::BackendStats backend_stats() const override { return core_.stats(); }
   std::int64_t backend_round(std::int64_t bytes) const override {
     return round_size(bytes);
   }
-  void backend_reset() override;
+  void backend_reset() override {
+    core_.reset();
+    next_region_size_ = kInitialRegionSize;
+  }
 
  private:
-  struct Chunk;
-  struct Less {
-    bool operator()(const Chunk* a, const Chunk* b) const;
-  };
+  BlockCore::Block* extend(std::int64_t rounded);
 
-  Chunk* extend(std::int64_t rounded);
-  std::unique_ptr<Chunk> acquire_chunk();
-  void recycle_chunk(std::uint64_t addr);
-
-  SimulatedCudaDriver& driver_;
+  BlockCore core_;
   std::int64_t next_region_size_ = kInitialRegionSize;
-  std::int64_t next_id_ = 1;
-  std::map<std::uint64_t, std::unique_ptr<Chunk>> chunks_;
-  std::map<std::int64_t, Chunk*> live_;
-  std::set<Chunk*, Less> free_chunks_;
-  // Retired Chunk nodes recycled across backend_reset() replays.
-  std::vector<std::unique_ptr<Chunk>> spare_chunks_;
-  TfBfcStats stats_;
 };
 
 }  // namespace xmem::alloc

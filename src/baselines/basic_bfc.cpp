@@ -1,167 +1,20 @@
 #include "baselines/basic_bfc.h"
 
-#include <algorithm>
-#include <stdexcept>
-
-#include "util/bytes.h"
-
 namespace xmem::baselines {
 
-struct BasicBfcAllocator::Block {
-  std::uint64_t addr = 0;
-  std::int64_t size = 0;
-  bool allocated = false;
-  std::int64_t id = -1;
-  Block* prev = nullptr;
-  Block* next = nullptr;
-};
-
-bool BasicBfcAllocator::Less::operator()(const Block* a, const Block* b) const {
-  if (a->size != b->size) return a->size < b->size;
-  return a->addr < b->addr;
-}
-
-BasicBfcAllocator::BasicBfcAllocator() = default;
-BasicBfcAllocator::~BasicBfcAllocator() = default;
-
-BasicBfcAllocator::Block* BasicBfcAllocator::acquire_block() {
-  if (spare_blocks_.empty()) {
-    arena_.push_back(std::make_unique<Block>());
-    return arena_.back().get();
-  }
-  Block* block = spare_blocks_.back();
-  spare_blocks_.pop_back();
-  *block = Block{};
-  return block;
-}
-
-BasicBfcAllocator::Block* BasicBfcAllocator::live_block(std::int64_t id) const {
-  if (id < 1 || static_cast<std::size_t>(id) >= live_slots_.size()) {
-    return nullptr;
-  }
-  return live_slots_[static_cast<std::size_t>(id)];
-}
-
-std::int64_t BasicBfcAllocator::alloc(std::int64_t bytes) {
-  if (bytes <= 0) throw std::invalid_argument("BasicBfcAllocator: bytes <= 0");
-  const std::int64_t rounded = util::round_up(bytes, kAlignment);
-
-  Block key;
-  key.size = rounded;
-  key.addr = 0;
-  Block* block = nullptr;
-  auto it = free_blocks_.lower_bound(&key);
-  if (it != free_blocks_.end()) {
-    block = *it;
-    free_blocks_.erase(it);
-  } else {
-    const std::int64_t segment = util::round_up(rounded, kSegmentGranularity);
-    block = acquire_block();
-    block->addr = next_addr_;
-    block->size = segment;
-    next_addr_ += static_cast<std::uint64_t>(segment) + kSegmentGranularity;
-    reserved_ += segment;
-    peak_reserved_ = std::max(peak_reserved_, reserved_);
-    ++num_segments_;
-  }
-
-  if (block->size - rounded >= kAlignment) {
-    Block* remainder = acquire_block();
-    remainder->addr = block->addr + static_cast<std::uint64_t>(rounded);
-    remainder->size = block->size - rounded;
-    remainder->prev = block;
-    remainder->next = block->next;
-    if (block->next != nullptr) block->next->prev = remainder;
-    block->next = remainder;
-    block->size = rounded;
-    free_blocks_.insert(remainder);
-  }
-
-  block->allocated = true;
-  block->id = next_id_++;
-  const auto slot = static_cast<std::size_t>(block->id);
-  if (slot >= live_slots_.size()) {
-    live_slots_.resize(std::max(live_slots_.size() * 2, slot + 1), nullptr);
-  }
-  live_slots_[slot] = block;
-  ++num_live_;
-  allocated_ += block->size;
-  peak_allocated_ = std::max(peak_allocated_, allocated_);
-  ++num_allocs_;
-  return block->id;
-}
-
-void BasicBfcAllocator::free(std::int64_t id) {
-  Block* block = live_block(id);
-  if (block == nullptr) {
-    throw std::logic_error("BasicBfcAllocator::free: unknown id");
-  }
-  live_slots_[static_cast<std::size_t>(id)] = nullptr;
-  --num_live_;
-  allocated_ -= block->size;
-  ++num_frees_;
-  block->allocated = false;
-  block->id = -1;
-
-  if (Block* prev = block->prev; prev != nullptr && !prev->allocated) {
-    free_blocks_.erase(prev);
-    prev->size += block->size;
-    prev->next = block->next;
-    if (block->next != nullptr) block->next->prev = prev;
-    spare_blocks_.push_back(block);
-    block = prev;
-  }
-  if (Block* next = block->next; next != nullptr && !next->allocated) {
-    free_blocks_.erase(next);
-    block->size += next->size;
-    block->next = next->next;
-    if (next->next != nullptr) next->next->prev = block;
-    spare_blocks_.push_back(next);
-  }
-  free_blocks_.insert(block);
-}
-
-void BasicBfcAllocator::backend_reset() {
-  // No driver underneath — every node goes back on the spare list (the
-  // arena keeps ownership) and the address space restarts. live_slots_
-  // keeps its capacity so the next replay writes into warm storage.
-  spare_blocks_.clear();
-  spare_blocks_.reserve(arena_.size());
-  for (const auto& block : arena_) spare_blocks_.push_back(block.get());
-  std::fill(live_slots_.begin(), live_slots_.end(), nullptr);
-  free_blocks_.clear();
-  num_live_ = 0;
-  next_addr_ = kArenaBase;
-  next_id_ = 1;
-  reserved_ = 0;
-  peak_reserved_ = 0;
-  allocated_ = 0;
-  peak_allocated_ = 0;
-  num_allocs_ = 0;
-  num_frees_ = 0;
-  num_segments_ = 0;
-}
-
 fw::BackendAllocResult BasicBfcAllocator::backend_alloc(std::int64_t bytes) {
-  const std::int64_t id = alloc(bytes);
-  return fw::BackendAllocResult{id, live_block(id)->size, false};
-}
-
-fw::BackendStats BasicBfcAllocator::backend_stats() const {
-  fw::BackendStats s;
-  s.active_bytes = allocated_;
-  s.peak_active_bytes = peak_allocated_;
-  s.reserved_bytes = reserved_;
-  s.peak_reserved_bytes = peak_reserved_;
-  s.num_allocs = num_allocs_;
-  s.num_frees = num_frees_;
-  s.num_segments = num_segments_;
-  s.num_live_blocks = static_cast<std::int64_t>(num_live_);
-  return s;
-}
-
-std::int64_t BasicBfcAllocator::backend_round(std::int64_t bytes) const {
-  return util::round_up(bytes, kAlignment);
+  core_.check_request(bytes);
+  const std::int64_t rounded = backend_round(bytes);
+  alloc::BlockCore::Block* block = core_.take_fit(0, rounded);
+  if (block == nullptr) {
+    // Carve a fresh segment out of the unbounded arena.
+    const std::int64_t segment = util::round_up(rounded, kSegmentGranularity);
+    block = core_.new_block(next_addr_, segment, 0);
+    next_addr_ += static_cast<std::uint64_t>(segment) + kSegmentGranularity;
+    core_.reserve(segment);
+  }
+  if (block->size - rounded >= kAlignment) core_.split(block, rounded);
+  return core_.activate(block);
 }
 
 }  // namespace xmem::baselines

@@ -2,15 +2,13 @@
 // reimplementation uses (per the xMem paper, DNNMem "combines computational
 // graph analysis with the simulation of a basic BFC allocator" but models
 // neither the device-level allocator nor cached-segment reclamation, and
-// has no small/large pool policy or 20 MiB over-reservation buckets).
+// has no small/large pool policy or 20 MiB over-reservation buckets). It is
+// the bare block core (alloc/block_core.h) over an unbounded arena.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <set>
-#include <vector>
 
-#include "fw/backend.h"
+#include "alloc/block_core.h"
 
 namespace xmem::baselines {
 
@@ -19,21 +17,23 @@ class BasicBfcAllocator final : public fw::AllocatorBackend {
   static constexpr std::int64_t kAlignment = 512;
   static constexpr std::int64_t kSegmentGranularity = 2 * 1024 * 1024;
 
-  BasicBfcAllocator();
-  ~BasicBfcAllocator();
+  BasicBfcAllocator() : core_("basic-bfc", nullptr) {}
   BasicBfcAllocator(const BasicBfcAllocator&) = delete;
   BasicBfcAllocator& operator=(const BasicBfcAllocator&) = delete;
 
   /// Allocate; always succeeds (arena is unbounded — DNNMem produces an
   /// estimate, then compares it with capacity afterwards).
-  std::int64_t alloc(std::int64_t bytes);
-  void free(std::int64_t id);
+  std::int64_t alloc(std::int64_t bytes) { return backend_alloc(bytes).id; }
+  void free(std::int64_t id) { core_.free(id); }
 
-  std::int64_t reserved_bytes() const { return reserved_; }
-  std::int64_t peak_reserved_bytes() const { return peak_reserved_; }
-  std::int64_t allocated_bytes() const { return allocated_; }
-  std::int64_t peak_allocated_bytes() const { return peak_allocated_; }
-  std::size_t num_live() const { return num_live_; }
+  std::int64_t reserved_bytes() const { return core_.stats().reserved_bytes; }
+  std::int64_t peak_reserved_bytes() const {
+    return core_.stats().peak_reserved_bytes;
+  }
+  std::int64_t allocated_bytes() const { return core_.stats().active_bytes; }
+  std::size_t num_live() const {
+    return static_cast<std::size_t>(core_.stats().num_live_blocks);
+  }
 
   // fw::AllocatorBackend. The arena is unbounded (no driver underneath), so
   // backend_alloc never reports OOM and backend_trim() is the default no-op
@@ -41,40 +41,20 @@ class BasicBfcAllocator final : public fw::AllocatorBackend {
   std::string_view backend_name() const override { return "basic-bfc"; }
   fw::BackendAllocResult backend_alloc(std::int64_t bytes) override;
   void backend_free(std::int64_t id) override { free(id); }
-  fw::BackendStats backend_stats() const override;
-  std::int64_t backend_round(std::int64_t bytes) const override;
-  void backend_reset() override;
+  fw::BackendStats backend_stats() const override { return core_.stats(); }
+  std::int64_t backend_round(std::int64_t bytes) const override {
+    return util::round_up(bytes, kAlignment);
+  }
+  void backend_reset() override {
+    core_.reset();
+    next_addr_ = kArenaBase;
+  }
 
  private:
-  struct Block;
-  struct Less {
-    bool operator()(const Block* a, const Block* b) const;
-  };
-
-  Block* acquire_block();
-  Block* live_block(std::int64_t id) const;
-
   static constexpr std::uint64_t kArenaBase = 0x400000000ULL;
 
+  alloc::BlockCore core_;
   std::uint64_t next_addr_ = kArenaBase;
-  std::int64_t next_id_ = 1;
-  std::int64_t reserved_ = 0;
-  std::int64_t peak_reserved_ = 0;
-  std::int64_t allocated_ = 0;
-  std::int64_t peak_allocated_ = 0;
-  std::int64_t num_allocs_ = 0;
-  std::int64_t num_frees_ = 0;
-  std::int64_t num_segments_ = 0;
-  std::size_t num_live_ = 0;
-  std::set<Block*, Less> free_blocks_;
-  // Grow-only node storage: the arena owns every Block ever created;
-  // coalescing and backend_reset() only move raw pointers onto the spare
-  // list, so steady-state replays allocate no nodes at all.
-  std::vector<std::unique_ptr<Block>> arena_;
-  std::vector<Block*> spare_blocks_;
-  // Flat live table indexed directly by the sequential block id (slot ==
-  // id); grows by doubling and keeps its capacity across backend_reset().
-  std::vector<Block*> live_slots_;
 };
 
 }  // namespace xmem::baselines

@@ -386,15 +386,6 @@ PlanRequest PlanRequest::from_json(const util::Json& json) {
           "plan request: \"refine_top_k\" must be >= 0");
     }
   }
-  if (json.contains("dedup_replays")) {
-    if (!json.at("dedup_replays").is_bool()) {
-      throw std::invalid_argument(
-          "plan request: \"dedup_replays\" must be a boolean (false replays "
-          "every deployment rank individually instead of collapsing "
-          "symmetric ranks; the report is byte-identical either way)");
-    }
-    request.dedup_replays = json.at("dedup_replays").as_bool();
-  }
   if (json.contains("comm_overlap")) {
     if (!json.at("comm_overlap").is_bool()) {
       throw std::invalid_argument(
@@ -433,8 +424,6 @@ util::Json PlanRequest::to_json() const {
   } else {
     json["refine_top_k"] = util::Json(refine_top_k);
   }
-  // Emitted only when off so default documents round-trip unchanged.
-  if (!dedup_replays) json["dedup_replays"] = util::Json(false);
   // Emitted only when set so resident-mode documents round-trip unchanged.
   if (comm_overlap) json["comm_overlap"] = util::Json(true);
   if (!tenant.empty()) json["tenant"] = util::Json(tenant);

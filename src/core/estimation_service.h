@@ -182,12 +182,13 @@ struct PlanRequest {
   /// affordable because symmetric-rank collapse + replay memoization make
   /// each candidate pay only for its distinct sequences (docs/PLANNER.md).
   bool refine_all = false;
-  /// Collapse symmetric ranks and memoize replay verdicts during
-  /// refinement (on by default). Turning it off replays every one of a
-  /// candidate's d*t*p deployment ranks individually — the naive baseline
-  /// the dedup is measured against (BM_PlanRefineDedup) — and MUST produce
-  /// a byte-identical report; tests pin that equivalence. JSON
-  /// `"dedup_replays"`, emitted only when false.
+  /// Test hook, not part of the request schema: collapse symmetric ranks
+  /// and memoize replay verdicts during refinement (on by default).
+  /// Turning it off replays every one of a candidate's d*t*p deployment
+  /// ranks individually — the naive baseline the dedup is measured against
+  /// (BM_PlanRefineDedup) — and MUST produce a byte-identical report
+  /// (DedupOnAndOffAreByteIdenticalAcrossTheRegistry). Neither from_json()
+  /// nor to_json() carries it.
   bool dedup_replays = true;
   /// Simulate collectives as schedule-tied overlap windows instead of
   /// resident staging buffers, and RE-RANK the refined candidates by their

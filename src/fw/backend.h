@@ -37,10 +37,14 @@ namespace xmem::fw {
 // ---------------------------------------------------------------------------
 // AllocatorBackend — the unified framework-allocator interface.
 //
-// Every allocator model the simulator can replay against (the PyTorch
-// CUDACachingAllocator port, the TF-style growing-region BFC, DNNMem's basic
-// single-level BFC) implements this interface, and the registry in
-// `alloc/backend_registry.h` constructs them by name. The contract every
+// Every allocator model the simulator can replay against implements this
+// interface, and the registry in `alloc/backend_registry.h` constructs them
+// by name: the PyTorch CUDACachingAllocator port and its expandable-segments
+// variant, the TF-style growing-region BFC, DNNMem's basic single-level
+// BFC, a cudaMallocAsync-style stream-ordered pool, and a CUB-style binned
+// cache. All of them are policies over one block core
+// (`alloc/block_core.h`), which owns blocks, free indexes, segments,
+// handles, the shared counters and reset. The contract every
 // implementation must honour — the parity harness in `alloc/event_stream.h`
 // replays identical randomized streams through all registered backends and
 // asserts it — is documented in docs/ALLOCATORS.md. In short:
@@ -63,7 +67,7 @@ namespace xmem::fw {
 //     reads zero, and handle numbering restarts. A replay through a reset
 //     backend must be byte-identical to the same replay through a freshly
 //     constructed one (tests/backend_reset_test.cpp proves it per backend).
-//     What reset() may keep is capacity: node pools, map buckets, and
+//     What reset() may keep is capacity: the block core's node arena and
 //     vector storage survive, which is what makes reset-instead-of-rebuild
 //     the replay hot path (ReplayScratch in core/simulator.h).
 // ---------------------------------------------------------------------------

@@ -204,6 +204,108 @@ TEST(BackendReset, DriverResetRestartsAddressSpace) {
 }
 
 // ---------------------------------------------------------------------------
+// Pinned output: one FNV-1a digest per (backend, knob variant) over what a
+// replay exposes — charged bytes and OOM of every allocation, the final
+// BackendStats (peaks included), and the driver's peak and malloc count —
+// folded across two unbounded streams and one capacity-bound stream that
+// drives the OOM, reclaim-then-retry and trim paths. The expected values
+// were recorded before the backends moved onto the shared block core
+// (alloc/block_core.h); any refactor of the core or a policy must leave
+// every one of them unchanged.
+// ---------------------------------------------------------------------------
+
+struct Digest {
+  std::uint64_t hash = 1469598103934665603ULL;  // FNV-1a 64 offset basis
+  void add(std::int64_t value) {
+    for (int i = 0; i < 8; ++i) {
+      hash ^= static_cast<std::uint64_t>(value >> (8 * i)) & 0xFFu;
+      hash *= 1099511628211ULL;  // FNV-1a 64 prime
+    }
+  }
+};
+
+/// Replay `events` through a fresh tower of `capacity` bytes, calling
+/// backend_trim() every `trim_every` events (0 = never). Frees of blocks
+/// whose allocation hit OOM are skipped, as in MemorySimulator::replay.
+void digest_replay(Digest& digest, const std::string& name,
+                   const BackendKnobs& knobs,
+                   const std::vector<StreamEvent>& events,
+                   std::int64_t capacity, std::size_t trim_every) {
+  SimulatedCudaDriver driver(capacity);
+  const auto backend = make_backend(name, driver, knobs);
+  std::map<std::int64_t, std::int64_t> live;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const StreamEvent& event = events[i];
+    if (event.is_alloc) {
+      const fw::BackendAllocResult result = backend->backend_alloc(event.bytes);
+      digest.add(result.charged_bytes);
+      digest.add(result.oom ? 1 : 0);
+      if (!result.oom) live[event.block_id] = result.id;
+    } else if (const auto it = live.find(event.block_id); it != live.end()) {
+      backend->backend_free(it->second);
+      live.erase(it);
+    }
+    if (trim_every != 0 && (i + 1) % trim_every == 0) backend->backend_trim();
+  }
+  const fw::BackendStats s = backend->backend_stats();
+  for (const std::int64_t value :
+       {s.active_bytes, s.peak_active_bytes, s.reserved_bytes,
+        s.peak_reserved_bytes, s.num_allocs, s.num_frees, s.num_segments,
+        s.num_live_blocks, driver.stats().peak_used_bytes,
+        driver.stats().num_mallocs}) {
+    digest.add(value);
+  }
+}
+
+std::uint64_t pinned_digest(const std::string& name,
+                            const BackendKnobs& knobs) {
+  Digest digest;
+  digest_replay(digest, name, knobs, stream_with_seed(1, 6000), kHugeCapacity,
+                0);
+  digest_replay(digest, name, knobs, stream_with_seed(2, 6000), kHugeCapacity,
+                997);
+  // 192 MiB is well under the stream's live peak: every driver-backed
+  // backend OOMs, reclaims and retries many times.
+  digest_replay(digest, name, knobs, stream_with_seed(3, 6000),
+                192 * util::kMiB, 499);
+  return digest.hash;
+}
+
+TEST(BackendReset, PinnedReplayDigestsPerBackendAndKnobVariant) {
+  const std::map<std::string, std::uint64_t> expected = {
+      {"basic-bfc{}", 0x4b2b6e1925bac551ULL},
+      {"cub-binned{}", 0x58eae9caa2d3819eULL},
+      {"cub-binned{bin_growth=4,max_bin=12,max_cached_bytes=209715200,min_bin=3}",
+       0x31b5f6a8e1ac4938ULL},
+      {"cub-binned{max_cached_bytes=0}", 0x4accd352de509bb2ULL},
+      {"pytorch{}", 0x5042ed56266301e6ULL},
+      {"pytorch-expandable{}", 0x0bc9b862f2e3baa8ULL},
+      {"pytorch-expandable{max_split_size_bytes=20971520}",
+       0xf3ca81fc4d4eba0aULL},
+      {"pytorch-expandable{page_bytes=8388608}", 0xfbc3cd05f8fe9e98ULL},
+      {"stream-pool{}", 0x7d61737e15e2ea04ULL},
+      {"stream-pool{release_threshold_bytes=268435456}", 0xd7a0eee13f38ef0fULL},
+      {"stream-pool{chunk_bytes=4194304}", 0x5453bdd09d5065a7ULL},
+      {"tf-bfc{}", 0x3845b00a2f75e270ULL},
+  };
+  for (const std::string& name : backend_names()) {
+    for (const BackendKnobs& knobs : knob_variants(name)) {
+      const std::string key = name + "{" + knobs_fingerprint(knobs) + "}";
+      const std::uint64_t actual = pinned_digest(name, knobs);
+      const auto it = expected.find(key);
+      if (it == expected.end()) {
+        ADD_FAILURE() << "no pinned digest for " << key << " (actual 0x"
+                      << std::hex << actual << ")";
+        continue;
+      }
+      EXPECT_EQ(it->second, actual)
+          << key << ": replay output changed (actual 0x" << std::hex << actual
+          << ")";
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // The consumer side: MemorySimulator::replay with a reused ReplayScratch
 // (reset-instead-of-rebuild) must produce byte-identical SimulationResults
 // to scratchless (fresh-tower) replays — including across backend switches,

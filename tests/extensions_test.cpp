@@ -76,6 +76,40 @@ TEST(TfBfc, NoReclaimMeansOomUnderCap) {
   EXPECT_TRUE(b.oom);
 }
 
+TEST(TfBfc, GrowthBackoffTriesEachDistinctRegionSizeOnce) {
+  // A failed driver malloc changes nothing, so the back-off schedule must
+  // not retry a size it already tried: num_oom_failures counts exactly the
+  // distinct region sizes attempted.
+  {
+    alloc::SimulatedCudaDriver driver(kMiB);
+    alloc::TfBfcAllocator allocator(driver);
+    // 3 MiB needs a 4 MiB region (the doubling schedule's 2 MiB is too
+    // small), which is also the minimum: one size tried.
+    EXPECT_TRUE(allocator.allocate(3 * kMiB).oom);
+    EXPECT_EQ(driver.stats().num_oom_failures, 1);
+  }
+  {
+    alloc::SimulatedCudaDriver driver(2 * kMiB);
+    alloc::TfBfcAllocator allocator(driver);
+    ASSERT_FALSE(allocator.allocate(1).oom);  // takes the 2 MiB region
+    // The doubled 4 MiB region, then the 2 MiB minimum: two sizes.
+    EXPECT_TRUE(allocator.allocate(2 * kMiB).oom);
+    EXPECT_EQ(driver.stats().num_oom_failures, 2);
+  }
+  {
+    // A longer back-off: 2, 4 and 8 MiB regions are held, so the next
+    // region would be 16 MiB; a 3 MiB request backs off 16 -> 8 -> 4 MiB.
+    alloc::SimulatedCudaDriver driver(16 * kMiB);
+    alloc::TfBfcAllocator allocator(driver);
+    for (const std::int64_t bytes : {2 * kMiB, 4 * kMiB, 8 * kMiB}) {
+      ASSERT_FALSE(allocator.allocate(bytes).oom);
+    }
+    ASSERT_EQ(allocator.stats().num_regions, 3);
+    EXPECT_TRUE(allocator.allocate(3 * kMiB).oom);
+    EXPECT_EQ(driver.stats().num_oom_failures, 3);
+  }
+}
+
 TEST(TfBfc, BasicInvariants) {
   alloc::SimulatedCudaDriver driver(util::kGiB);
   alloc::TfBfcAllocator allocator(driver);

@@ -29,8 +29,9 @@
 # search ran, still off one profile), plus at least one verdict_changed
 # replay (the fidelity gain over the analytic model). The negative smoke
 # feeds every ci/fixtures/bad_*.json through `xmem sweep` — except the
-# plan-shaped bad_refine.json, which goes through `xmem plan` — and
-# requires a nonzero exit.
+# plan-shaped bad_refine*/bad_overlap/bad_plan_* fixtures, which go
+# through `xmem plan`, and bad_fleet.json, which goes through
+# `xmem fleet` — and requires a nonzero exit.
 #
 # The serve smoke (bottom of the file) boots the `xmem serve` daemon and
 # proves the process boundary is invisible: `xmem request` replies diff
@@ -296,6 +297,7 @@ for bad in "${FIXTURE_DIR}"/bad_*.json; do
   subcommand=sweep
   case "$(basename "${bad}")" in
     bad_overlap*) subcommand=plan ;;
+    bad_plan_*) subcommand=plan ;;
     bad_refine*) subcommand=plan ;;
     bad_fleet*) subcommand=fleet ;;
   esac
@@ -313,8 +315,9 @@ done
 # byte-identical to the offline golden (the server is a process boundary,
 # not a different estimator). Then: two concurrent identical requests must
 # show up as a nonzero coalesced count in `stats`, the bad_frame.bin raw
-# fixture (oversized length prefix) must exit nonzero while the daemon
-# survives it, and SIGTERM must drain gracefully (exit 0, socket unlinked).
+# fixture (oversized length prefix) and a generated ~400 KB frame of nested
+# brackets must exit nonzero while the daemon survives them, and SIGTERM
+# must drain gracefully (exit 0, socket unlinked).
 # The plan fixture goes through a SECOND fresh daemon because its golden
 # pins cold-cache stage counters and the two fixtures share a job.
 
@@ -379,6 +382,32 @@ if ! "${XMEM}" request --socket "${SERVE_SOCK}" --ping > /dev/null; then
   echo "SERVE SMOKE: daemon died after bad_frame.bin" >&2
   GOLDEN_FAILED=1
 fi
+
+# Negative: a well-framed ~400 KB payload of nested '[' (generated here,
+# not committed) must get a structured parse_error — the parser's nesting
+# limit, not a stack overflow — and the daemon must answer a ping after.
+deep_frame="$(mktemp)"
+deep_reply="$(mktemp)"
+deep_bytes=400000
+printf "$(printf '\\x%02x' $((deep_bytes >> 24 & 255)) \
+  $((deep_bytes >> 16 & 255)) $((deep_bytes >> 8 & 255)) \
+  $((deep_bytes & 255)))" > "${deep_frame}"
+head -c "${deep_bytes}" /dev/zero | tr '\0' '[' >> "${deep_frame}"
+if "${XMEM}" request --socket "${SERVE_SOCK}" \
+     --raw "${deep_frame}" > "${deep_reply}" 2>/dev/null; then
+  echo "SERVE SMOKE: xmem request accepted the deeply nested frame" >&2
+  GOLDEN_FAILED=1
+elif ! grep -q '"code":"parse_error"' "${deep_reply}"; then
+  echo "SERVE SMOKE: deeply nested frame got no structured parse_error" >&2
+  cat "${deep_reply}" >&2
+  GOLDEN_FAILED=1
+elif ! "${XMEM}" request --socket "${SERVE_SOCK}" --ping > /dev/null; then
+  echo "SERVE SMOKE: daemon died after the deeply nested frame" >&2
+  GOLDEN_FAILED=1
+else
+  echo "serve smoke ok: deeply nested frame rejected, daemon alive"
+fi
+rm -f "${deep_frame}" "${deep_reply}"
 
 # Kill-and-verify: SIGTERM drains gracefully — exit 0, socket unlinked.
 kill -TERM "${SERVE_PID}"

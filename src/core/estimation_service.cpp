@@ -19,77 +19,169 @@
 
 namespace xmem::core {
 
-// job/device JSON helpers are public (declared in estimation_service.h):
-// the sweep, plan, and fleet request schemas all share them.
-TrainJob job_from_json(const util::Json& json) {
-  TrainJob job;
-  job.model_name = json.get_string_or("model", "");
-  job.batch_size = static_cast<int>(json.get_int_or("batch", 0));
-  job.optimizer =
-      fw::optimizer_from_string(json.get_string_or("optimizer", "SGD"));
-  job.placement =
-      fw::placement_from_string(json.get_string_or("placement", "POS1"));
-  job.seed = static_cast<std::uint64_t>(json.get_int_or("seed", 1));
-  if (job.model_name.empty()) {
-    throw std::invalid_argument("request job: missing \"model\"");
+namespace schema = util::schema;
+using schema::Bool;
+using schema::field;
+using schema::integer;
+using schema::kIfChanged;
+using schema::kOptional;
+using schema::kRequired;
+using schema::Str;
+
+namespace {
+
+using Devices = schema::List<DeviceCodec>;
+constexpr const char* kDevicesExpect =
+    "a non-empty array of device aliases or device objects";
+
+constexpr schema::Field<TrainJob> kJobFields[] = {
+    field<Str, &TrainJob::model_name>("model", kRequired),
+    schema::required(integer<&TrainJob::batch_size>("batch", 1)),
+    field<schema::Enum<fw::optimizer_from_string>, &TrainJob::optimizer>(
+        "optimizer", kOptional,
+        "one of SGD, Adam, AdamW, RMSprop, Adagrad, Adafactor"),
+    field<schema::Enum<fw::placement_from_string>, &TrainJob::placement>(
+        "placement", kOptional, "POS0 or POS1"),
+    integer<&TrainJob::seed>("seed"),
+};
+
+constexpr schema::Field<gpu::DeviceModel> kDeviceFields[] = {
+    field<Str, &gpu::DeviceModel::name>("name", kRequired),
+    integer<&gpu::DeviceModel::capacity>("capacity_bytes", 1),
+    integer<&gpu::DeviceModel::m_init>("m_init_bytes", 0),
+    integer<&gpu::DeviceModel::m_fm>("m_fm_bytes", 0),
+};
+
+constexpr schema::Field<EstimateRequest> kSweepFields[] = {
+    field<JobCodec, &EstimateRequest::job>("job", kRequired),
+    field<Devices, &EstimateRequest::devices>("devices", kRequired,
+                                              kDevicesExpect),
+    field<schema::List<Str>, &EstimateRequest::allocators>("allocators"),
+    field<schema::List<Str>, &EstimateRequest::estimators>("estimators"),
+    field<AllocatorConfigCodec, &EstimateRequest::allocator_config>(
+        "allocator_config", kIfChanged),
+    integer<&EstimateRequest::profile_iterations>("profile_iterations", 1),
+    field<Bool, &EstimateRequest::record_curve>("curve"),
+    field<Str, &EstimateRequest::tenant>("tenant", kIfChanged),
+};
+
+/// `refine_top_k` is a count, or the string "all" for full-search mode
+/// (PlanRequest::refine_all); any other string is a typo, not a count.
+struct RefineTopK {
+  static void read(const util::Json& value, PlanRequest& out,
+                   const schema::Path& at, const schema::FieldInfo& info) {
+    out.refine_all = value.is_string() && value.as_string() == "all";
+    if (!out.refine_all) schema::Int::read(value, out.refine_top_k, at, info);
   }
-  if (job.batch_size <= 0) {
-    throw std::invalid_argument("request job: \"batch\" must be > 0");
+  static util::Json write(const PlanRequest& in) {
+    return in.refine_all ? util::Json("all") : util::Json(in.refine_top_k);
   }
-  return job;
+};
+
+constexpr schema::Field<PlanRequest> kPlanFields[] = {
+    field<JobCodec, &PlanRequest::job>("job", kRequired),
+    field<Devices, &PlanRequest::devices>("devices", kRequired,
+                                          kDevicesExpect),
+    integer<&PlanRequest::max_gpus>("max_gpus", 1),
+    integer<&PlanRequest::micro_batches>("micro_batches", 1),
+    field<schema::Enum<pipeline_schedule_from_string>, &PlanRequest::schedule>(
+        "schedule", kOptional, "1f1b or interleaved"),
+    integer<&PlanRequest::virtual_stages>("virtual_stages", 1),
+    integer<&PlanRequest::zero>("zero_stage", 0, 3),
+    integer<&PlanRequest::ddp_bucket_bytes>("ddp_bucket_bytes", 0),
+    integer<&PlanRequest::ddp_bucket_count>("ddp_bucket_count", 0),
+    integer<&PlanRequest::activation_replication_pct>(
+        "activation_replication_pct", 0, 100),
+    field<Str, &PlanRequest::allocator>("allocator"),
+    field<AllocatorConfigCodec, &PlanRequest::allocator_config>(
+        "allocator_config", kIfChanged),
+    integer<&PlanRequest::profile_iterations>("profile_iterations", 1),
+    integer<&PlanRequest::max_candidates>("max_candidates"),
+    {{"refine_top_k", "an integer in [0, 2147483647] or the string \"all\"",
+      kOptional, 0, std::numeric_limits<int>::max()},
+     &RefineTopK::read,
+     &RefineTopK::write},
+    field<Bool, &PlanRequest::comm_overlap>("comm_overlap", kIfChanged),
+    field<Str, &PlanRequest::tenant>("tenant", kIfChanged),
+};
+
+constexpr schema::Path kSweepRoot{"request"};
+constexpr schema::Path kPlanRoot{"plan request"};
+
+}  // namespace
+
+const schema::Schema<TrainJob> kJobSchema = kJobFields;
+const schema::Schema<gpu::DeviceModel> kDeviceSchema = kDeviceFields;
+const schema::Schema<EstimateRequest> kSweepSchema = kSweepFields;
+const schema::Schema<PlanRequest> kPlanSchema = kPlanFields;
+
+void DeviceCodec::read(const util::Json& value, gpu::DeviceModel& out,
+                       const schema::Path& at, const schema::FieldInfo& info) {
+  const bool object = value.is_object();
+  const util::Json& name =
+      object && value.contains("name") ? value.at("name") : value;
+  try {
+    out = gpu::device_by_name(name.is_string() ? name.as_string() : "");
+  } catch (const std::invalid_argument&) {
+    if (!object) schema::fail(at, kExpect, &value);
+  }
+  if (!object) return;
+  // A resolved name keeps the reference card's canonical spelling.
+  const std::string reference_name = out.name;
+  schema::Obj<kDeviceSchema>::read(value, out, at, info);
+  if (!reference_name.empty()) out.name = reference_name;
+  if (out.capacity <= 0) {
+    schema::fail(schema::Path{"capacity_bytes", &at},
+                 "given for an unknown device name", nullptr);
+  }
 }
 
-util::Json job_to_json(const TrainJob& job) {
-  util::Json json = util::Json::object();
-  json["model"] = util::Json(job.model_name);
-  json["batch"] = util::Json(job.batch_size);
-  json["optimizer"] = util::Json(to_string(job.optimizer));
-  json["placement"] = util::Json(to_string(job.placement));
-  json["seed"] = util::Json(static_cast<std::int64_t>(job.seed));
-  return json;
+util::Json DeviceCodec::write(const gpu::DeviceModel& device) {
+  return schema::Obj<kDeviceSchema>::write(device);
 }
+
+void AllocatorConfigCodec::read(
+    const util::Json& value, std::map<std::string, alloc::BackendKnobs>& out,
+    const schema::Path& at, const schema::FieldInfo&) {
+  if (!value.is_object()) schema::fail(at, kExpect, &value);
+  for (const auto& [name, knobs] : value.as_object()) {
+    out[name] = alloc::parse_backend_knobs(
+        knobs, schema::Path{name.c_str(), &at}.str());
+  }
+}
+
+util::Json AllocatorConfigCodec::write(
+    const std::map<std::string, alloc::BackendKnobs>& config) {
+  return schema::Dict<schema::Dict<schema::Int>>::write(config);
+}
+
+TrainJob job_from_json(const util::Json& json) {
+  return schema::parse(json, {"job", &kSweepRoot}, kJobSchema);
+}
+
+util::Json job_to_json(const TrainJob& job) { return JobCodec::write(job); }
 
 gpu::DeviceModel device_from_json(const util::Json& json) {
-  if (json.is_string()) return gpu::device_by_name(json.as_string());
-  if (!json.is_object()) {
-    throw std::invalid_argument(
-        "request devices: entries must be alias strings or device objects");
-  }
-  const std::string name = json.get_string_or("name", "");
-  if (name.empty()) {
-    throw std::invalid_argument("request device object: missing \"name\"");
-  }
-  // Start from the named reference card when the name resolves (so partial
-  // overrides — e.g. only m_init_bytes — are what-ifs against real
-  // geometry), from a blank device otherwise.
   gpu::DeviceModel device;
-  try {
-    device = gpu::device_by_name(name);
-  } catch (const std::invalid_argument&) {
-    device.name = name;
-  }
-  device.capacity = json.get_int_or("capacity_bytes", device.capacity);
-  device.m_init = json.get_int_or("m_init_bytes", device.m_init);
-  device.m_fm = json.get_int_or("m_fm_bytes", device.m_fm);
-  if (device.capacity <= 0) {
-    throw std::invalid_argument(
-        "request device object: unknown name '" + name +
-        "' needs an explicit \"capacity_bytes\" > 0");
-  }
+  DeviceCodec::read(json, device, {"devices", &kSweepRoot}, {});
   return device;
 }
 
 util::Json devices_to_json(const std::vector<gpu::DeviceModel>& devices) {
-  util::Json device_array = util::Json::array();
-  for (const gpu::DeviceModel& device : devices) {
-    util::Json entry = util::Json::object();
-    entry["name"] = util::Json(device.name);
-    entry["capacity_bytes"] = util::Json(device.capacity);
-    entry["m_init_bytes"] = util::Json(device.m_init);
-    entry["m_fm_bytes"] = util::Json(device.m_fm);
-    device_array.push_back(std::move(entry));
-  }
-  return device_array;
+  return Devices::write(devices);
+}
+
+std::map<std::string, alloc::BackendKnobs> allocator_config_from_json(
+    const util::Json& json, const std::string& context) {
+  std::map<std::string, alloc::BackendKnobs> config;
+  const schema::Path root{context.c_str()};
+  AllocatorConfigCodec::read(json, config, {"allocator_config", &root}, {});
+  return config;
+}
+
+util::Json allocator_config_to_json(
+    const std::map<std::string, alloc::BackendKnobs>& config) {
+  return AllocatorConfigCodec::write(config);
 }
 
 namespace {
@@ -112,34 +204,6 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 }
 
 }  // namespace
-
-std::map<std::string, alloc::BackendKnobs> allocator_config_from_json(
-    const util::Json& json, const std::string& context) {
-  if (!json.is_object()) {
-    throw std::invalid_argument(context +
-                                ": \"allocator_config\" must be an object "
-                                "mapping backend name -> knob object");
-  }
-  std::map<std::string, alloc::BackendKnobs> config;
-  for (const auto& [name, knobs] : json.as_object()) {
-    config[name] = alloc::parse_backend_knobs(
-        knobs, context + ": allocator_config." + name);
-  }
-  return config;
-}
-
-util::Json allocator_config_to_json(
-    const std::map<std::string, alloc::BackendKnobs>& config) {
-  util::Json json = util::Json::object();
-  for (const auto& [name, knobs] : config) {
-    util::Json knob_object = util::Json::object();
-    for (const auto& [knob, value] : knobs) {
-      knob_object[knob] = util::Json(value);
-    }
-    json[name] = std::move(knob_object);
-  }
-  return json;
-}
 
 /// Fail a request up front when its allocator_config is malformed: unknown
 /// backend names, and — by constructing a throwaway backend — unknown knob
@@ -172,64 +236,11 @@ const alloc::BackendKnobs& knobs_for(
 }  // namespace
 
 EstimateRequest EstimateRequest::from_json(const util::Json& json) {
-  if (!json.is_object()) {
-    throw std::invalid_argument("request: top level must be an object");
-  }
-  EstimateRequest request;
-  request.job = job_from_json(json.at("job"));
-
-  if (!json.contains("devices") || json.at("devices").size() == 0) {
-    throw std::invalid_argument("request: \"devices\" must be a non-empty "
-                                "array");
-  }
-  for (const util::Json& entry : json.at("devices").as_array()) {
-    request.devices.push_back(device_from_json(entry));
-  }
-
-  if (json.contains("allocators")) {
-    request.allocators.clear();
-    for (const util::Json& entry : json.at("allocators").as_array()) {
-      request.allocators.push_back(entry.as_string());
-    }
-  }
-  if (json.contains("estimators")) {
-    request.estimators.clear();
-    for (const util::Json& entry : json.at("estimators").as_array()) {
-      request.estimators.push_back(entry.as_string());
-    }
-  }
-  if (json.contains("allocator_config")) {
-    request.allocator_config =
-        allocator_config_from_json(json.at("allocator_config"), "request");
-  }
-  request.profile_iterations =
-      static_cast<int>(json.get_int_or("profile_iterations", 3));
-  request.record_curve = json.contains("curve") && json.at("curve").as_bool();
-  request.tenant = json.get_string_or("tenant", "");
-  return request;
+  return schema::parse(json, kSweepRoot, kSweepSchema);
 }
 
 util::Json EstimateRequest::to_json() const {
-  util::Json json = util::Json::object();
-  json["job"] = job_to_json(job);
-  json["devices"] = devices_to_json(devices);
-  util::Json allocator_array = util::Json::array();
-  for (const std::string& name : allocators) {
-    allocator_array.push_back(util::Json(name));
-  }
-  json["allocators"] = std::move(allocator_array);
-  util::Json estimator_array = util::Json::array();
-  for (const std::string& name : estimators) {
-    estimator_array.push_back(util::Json(name));
-  }
-  json["estimators"] = std::move(estimator_array);
-  if (!allocator_config.empty()) {
-    json["allocator_config"] = allocator_config_to_json(allocator_config);
-  }
-  json["profile_iterations"] = util::Json(profile_iterations);
-  json["curve"] = util::Json(record_curve);
-  if (!tenant.empty()) json["tenant"] = util::Json(tenant);
-  return json;
+  return schema::write_object(*this, kSweepSchema);
 }
 
 EstimateResult EstimateEntry::to_result() const {
@@ -301,133 +312,11 @@ util::Json EstimateReport::to_json(bool include_timings) const {
 }
 
 PlanRequest PlanRequest::from_json(const util::Json& json) {
-  if (!json.is_object()) {
-    throw std::invalid_argument("plan request: top level must be an object");
-  }
-  PlanRequest request;
-  request.job = job_from_json(json.at("job"));
-  if (!json.contains("devices") || json.at("devices").size() == 0) {
-    throw std::invalid_argument(
-        "plan request: \"devices\" must be a non-empty array");
-  }
-  for (const util::Json& entry : json.at("devices").as_array()) {
-    request.devices.push_back(device_from_json(entry));
-  }
-  request.max_gpus = static_cast<int>(json.get_int_or("max_gpus", 8));
-  if (request.max_gpus < 1) {
-    throw std::invalid_argument("plan request: \"max_gpus\" must be >= 1");
-  }
-  request.micro_batches =
-      static_cast<int>(json.get_int_or("micro_batches", 4));
-  if (request.micro_batches < 1) {
-    throw std::invalid_argument(
-        "plan request: \"micro_batches\" must be >= 1");
-  }
-  request.schedule =
-      pipeline_schedule_from_string(json.get_string_or("schedule", "1f1b"));
-  request.virtual_stages =
-      static_cast<int>(json.get_int_or("virtual_stages", 1));
-  if (request.virtual_stages < 1) {
-    throw std::invalid_argument(
-        "plan request: \"virtual_stages\" must be >= 1");
-  }
-  request.zero = zero_stage_from_int(
-      static_cast<int>(json.get_int_or("zero_stage", 0)));
-  request.ddp_bucket_bytes =
-      json.get_int_or("ddp_bucket_bytes", request.ddp_bucket_bytes);
-  if (request.ddp_bucket_bytes < 0) {
-    throw std::invalid_argument(
-        "plan request: \"ddp_bucket_bytes\" must be >= 0");
-  }
-  request.ddp_bucket_count = static_cast<int>(
-      json.get_int_or("ddp_bucket_count", request.ddp_bucket_count));
-  if (request.ddp_bucket_count < 0) {
-    throw std::invalid_argument(
-        "plan request: \"ddp_bucket_count\" must be >= 0");
-  }
-  request.activation_replication_pct = static_cast<int>(
-      json.get_int_or("activation_replication_pct", 25));
-  if (request.activation_replication_pct < 0 ||
-      request.activation_replication_pct > 100) {
-    throw std::invalid_argument(
-        "plan request: \"activation_replication_pct\" must be 0..100");
-  }
-  request.allocator = json.get_string_or("allocator", request.allocator);
-  if (json.contains("allocator_config")) {
-    request.allocator_config = allocator_config_from_json(
-        json.at("allocator_config"), "plan request");
-  }
-  request.profile_iterations =
-      static_cast<int>(json.get_int_or("profile_iterations", 3));
-  if (request.profile_iterations < 1) {
-    throw std::invalid_argument(
-        "plan request: \"profile_iterations\" must be >= 1");
-  }
-  const std::int64_t max_candidates = json.get_int_or("max_candidates", 0);
-  if (max_candidates < 0) {
-    throw std::invalid_argument(
-        "plan request: \"max_candidates\" must be >= 0");
-  }
-  request.max_candidates = static_cast<std::size_t>(max_candidates);
-  if (json.contains("refine_top_k") && json.at("refine_top_k").is_string()) {
-    // Full-search mode spells itself as the string "all"; any other string
-    // is a typo, not a count.
-    if (json.at("refine_top_k").as_string() != "all") {
-      throw std::invalid_argument(
-          "plan request: \"refine_top_k\" must be an integer >= 0 or the "
-          "string \"all\" (refine every ranked decomposition)");
-    }
-    request.refine_all = true;
-  } else {
-    request.refine_top_k = static_cast<int>(
-        json.get_int_or("refine_top_k", request.refine_top_k));
-    if (request.refine_top_k < 0) {
-      throw std::invalid_argument(
-          "plan request: \"refine_top_k\" must be >= 0");
-    }
-  }
-  if (json.contains("comm_overlap")) {
-    if (!json.at("comm_overlap").is_bool()) {
-      throw std::invalid_argument(
-          "plan request: \"comm_overlap\" must be a boolean (true simulates "
-          "collectives as schedule-tied overlap windows and re-ranks refined "
-          "candidates by window-replayed peaks; omit it or pass false for "
-          "resident staging buffers)");
-    }
-    request.comm_overlap = json.at("comm_overlap").as_bool();
-  }
-  request.tenant = json.get_string_or("tenant", "");
-  return request;
+  return schema::parse(json, kPlanRoot, kPlanSchema);
 }
 
 util::Json PlanRequest::to_json() const {
-  util::Json json = util::Json::object();
-  json["job"] = job_to_json(job);
-  json["devices"] = devices_to_json(devices);
-  json["max_gpus"] = util::Json(max_gpus);
-  json["micro_batches"] = util::Json(micro_batches);
-  json["schedule"] = util::Json(to_string(schedule));
-  json["virtual_stages"] = util::Json(virtual_stages);
-  json["zero_stage"] = util::Json(static_cast<int>(zero));
-  json["ddp_bucket_bytes"] = util::Json(ddp_bucket_bytes);
-  json["ddp_bucket_count"] = util::Json(ddp_bucket_count);
-  json["activation_replication_pct"] = util::Json(activation_replication_pct);
-  json["allocator"] = util::Json(allocator);
-  if (!allocator_config.empty()) {
-    json["allocator_config"] = allocator_config_to_json(allocator_config);
-  }
-  json["profile_iterations"] = util::Json(profile_iterations);
-  json["max_candidates"] =
-      util::Json(static_cast<std::int64_t>(max_candidates));
-  if (refine_all) {
-    json["refine_top_k"] = util::Json(std::string("all"));
-  } else {
-    json["refine_top_k"] = util::Json(refine_top_k);
-  }
-  // Emitted only when set so resident-mode documents round-trip unchanged.
-  if (comm_overlap) json["comm_overlap"] = util::Json(true);
-  if (!tenant.empty()) json["tenant"] = util::Json(tenant);
-  return json;
+  return schema::write_object(*this, kPlanSchema);
 }
 
 util::Json PlanCandidate::to_json(

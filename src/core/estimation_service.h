@@ -32,6 +32,7 @@
 #include "core/profile_session.h"
 #include "gpu/device_model.h"
 #include "util/json.h"
+#include "util/schema.h"
 #include "util/sim_clock.h"
 
 namespace xmem::util {
@@ -45,9 +46,37 @@ struct FleetReport;
 
 namespace xmem::core {
 
-/// Shared request-schema JSON helpers — the sweep, plan, and fleet request
-/// documents all spell jobs, devices, and allocator knobs the same way.
-/// All parsers throw std::invalid_argument on bad input.
+/// Field tables (util/schema.h) for the parts every request document
+/// shares: the sweep, plan, and fleet schemas all spell jobs, devices, and
+/// allocator knobs the same way (docs/API.md "Request fields").
+extern const util::schema::Schema<TrainJob> kJobSchema;
+extern const util::schema::Schema<gpu::DeviceModel> kDeviceSchema;
+using JobCodec = util::schema::Obj<kJobSchema>;
+/// An alias string ("rtx3060") or an object; an object whose name resolves
+/// starts from that reference card, so partial overrides are what-ifs
+/// against real geometry.
+struct DeviceCodec {
+  static constexpr const char* kExpect =
+      "a device alias (rtx3060 | rtx4060 | a100) or a device object";
+  static void read(const util::Json& value, gpu::DeviceModel& out,
+                   const util::schema::Path& at,
+                   const util::schema::FieldInfo& info);
+  static util::Json write(const gpu::DeviceModel& device);
+};
+/// Backend name -> knob object, each read by alloc::parse_backend_knobs.
+struct AllocatorConfigCodec {
+  static constexpr const char* kExpect =
+      "an object mapping backend name -> knob object";
+  static void read(const util::Json& value,
+                   std::map<std::string, alloc::BackendKnobs>& out,
+                   const util::schema::Path& at,
+                   const util::schema::FieldInfo& info);
+  static util::Json write(
+      const std::map<std::string, alloc::BackendKnobs>& config);
+};
+
+/// Shared request-schema JSON helpers over the codecs above. All parsers
+/// throw std::invalid_argument on bad input.
 TrainJob job_from_json(const util::Json& json);
 util::Json job_to_json(const TrainJob& job);
 gpu::DeviceModel device_from_json(const util::Json& json);
@@ -207,6 +236,10 @@ struct PlanRequest {
   static PlanRequest from_json(const util::Json& json);
   util::Json to_json() const;
 };
+
+/// The sweep and plan request field tables.
+extern const util::schema::Schema<EstimateRequest> kSweepSchema;
+extern const util::schema::Schema<PlanRequest> kPlanSchema;
 
 /// One ranked (d, t, p) answer inside a PlanReport.
 struct PlanCandidate {

@@ -27,37 +27,80 @@ std::string job_key(const core::TrainJob& job) {
   return job.label() + "|seed" + std::to_string(job.seed);
 }
 
-HeadroomRule headroom_rule_from_json(const util::Json& json,
-                                     const std::string& context) {
-  if (!json.is_object()) {
-    throw std::invalid_argument(context + ": headroom rules must be objects");
-  }
-  HeadroomRule rule;
-  rule.absolute_bytes = json.get_int_or("absolute_bytes", 0);
-  rule.percent = static_cast<int>(json.get_int_or("percent", 0));
-  if (rule.absolute_bytes < 0) {
-    throw std::invalid_argument(context +
-                                ": headroom \"absolute_bytes\" must be >= 0");
-  }
-  if (rule.percent < 0) {
-    throw std::invalid_argument(context +
-                                ": headroom \"percent\" must be >= 0");
-  }
-  return rule;
-}
+namespace schema = util::schema;
+using schema::Bool;
+using schema::field;
+using schema::integer;
+using schema::kIfChanged;
+using schema::kRequired;
+using schema::Str;
 
-util::Json headroom_rule_to_json(const HeadroomRule& rule) {
-  util::Json json = util::Json::object();
-  json["absolute_bytes"] = util::Json(rule.absolute_bytes);
-  json["percent"] = util::Json(rule.percent);
-  return json;
-}
+constexpr schema::Field<HeadroomRule> kHeadroomRuleFields[] = {
+    integer<&HeadroomRule::absolute_bytes>("absolute_bytes", 0),
+    integer<&HeadroomRule::percent>("percent", 0),
+};
 
-util::Json device_to_json(const gpu::DeviceModel& device) {
-  return core::devices_to_json({device}).as_array().front();
-}
+constexpr schema::Field<HeadroomPolicy> kHeadroomFields[] = {
+    integer<&HeadroomPolicy::base, &HeadroomRule::absolute_bytes>(
+        "absolute_bytes", 0),
+    integer<&HeadroomPolicy::base, &HeadroomRule::percent>("percent", 0),
+    field<schema::Dict<schema::Obj<kHeadroomRuleFields>>,
+          &HeadroomPolicy::per_device>("per_device", kIfChanged,
+                                       "an object of headroom rules by device"),
+};
+
+constexpr schema::Field<FleetJob> kFleetJobFields[] = {
+    field<Str, &FleetJob::id>("id"),
+    field<core::JobCodec, &FleetJob::job>("job", kRequired),
+    integer<&FleetJob::priority>("priority"),
+};
+
+/// A queue entry without an "id" is named after its position.
+struct FleetJobCodec : schema::Obj<kFleetJobFields> {
+  static void read(const util::Json& value, FleetJob& out,
+                   const schema::Path& at, const schema::FieldInfo& info) {
+    if (value.is_object() && !value.contains("id")) {
+      out.id = "job-" + std::to_string(at.index);
+    }
+    Obj::read(value, out, at, info);
+  }
+};
+
+constexpr schema::Field<GpuPool> kPoolFields[] = {
+    field<core::DeviceCodec, &GpuPool::device>("device", kRequired),
+    schema::required(integer<&GpuPool::count>("count", 1)),
+};
+
+using Pools = schema::List<schema::Obj<kPoolFields>>;
+
+constexpr schema::Field<FleetRequest> kFleetFields[] = {
+    field<schema::List<FleetJobCodec>, &FleetRequest::jobs>(
+        "jobs", kRequired, "a non-empty array of job entries"),
+    field<Pools, &FleetRequest::pools>("pools", kRequired,
+                                       "a non-empty array of pools"),
+    field<Str, &FleetRequest::policy>("policy"),
+    field<schema::Obj<kHeadroomFields>, &FleetRequest::headroom>("headroom"),
+    field<Str, &FleetRequest::estimator>("estimator"),
+    field<Str, &FleetRequest::allocator>("allocator"),
+    field<core::AllocatorConfigCodec, &FleetRequest::allocator_config>(
+        "allocator_config", kIfChanged),
+    integer<&FleetRequest::profile_iterations>("profile_iterations", 1),
+    integer<&FleetRequest::max_gpus_per_job>("max_gpus_per_job", 1),
+    field<Bool, &FleetRequest::comm_overlap>("comm_overlap", kIfChanged),
+    field<Bool, &FleetRequest::refine_all>("refine_all", kIfChanged),
+    field<Str, &FleetRequest::tenant>("tenant", kIfChanged),
+    field<Pools, &FleetRequest::what_if>("what_if", kIfChanged),
+};
+
+constexpr schema::Path kFleetRoot{"fleet request"};
 
 }  // namespace
+
+const schema::Schema<FleetRequest> kFleetSchema = kFleetFields;
+const schema::Schema<FleetJob> kFleetJobSchema = kFleetJobFields;
+const schema::Schema<GpuPool> kPoolSchema = kPoolFields;
+const schema::Schema<HeadroomPolicy> kHeadroomSchema = kHeadroomFields;
+const schema::Schema<HeadroomRule> kHeadroomRuleSchema = kHeadroomRuleFields;
 
 const char* to_string(Verdict verdict) {
   switch (verdict) {
@@ -72,51 +115,20 @@ const char* to_string(Verdict verdict) {
 }
 
 FleetJob FleetJob::from_json(const util::Json& json, std::size_t index) {
-  const std::string context = "fleet request jobs[" + std::to_string(index) +
-                              "]";
-  if (!json.is_object()) {
-    throw std::invalid_argument(context + ": entries must be objects");
-  }
-  if (!json.contains("job")) {
-    throw std::invalid_argument(context + ": missing \"job\" object");
-  }
   FleetJob fleet_job;
-  fleet_job.job = core::job_from_json(json.at("job"));
-  fleet_job.id = json.get_string_or("id", "job-" + std::to_string(index));
-  fleet_job.priority = static_cast<int>(json.get_int_or("priority", 0));
+  FleetJobCodec::read(json, fleet_job, {"jobs", &kFleetRoot, index}, {});
   return fleet_job;
 }
 
-util::Json FleetJob::to_json() const {
-  util::Json json = util::Json::object();
-  json["id"] = util::Json(id);
-  json["job"] = core::job_to_json(job);
-  json["priority"] = util::Json(priority);
-  return json;
-}
+util::Json FleetJob::to_json() const { return FleetJobCodec::write(*this); }
 
 GpuPool GpuPool::from_json(const util::Json& json,
                            const std::string& context) {
-  if (!json.is_object()) {
-    throw std::invalid_argument(context + ": pool entries must be objects");
-  }
-  if (!json.contains("device")) {
-    throw std::invalid_argument(context + ": missing \"device\"");
-  }
-  GpuPool pool;
-  pool.device = core::device_from_json(json.at("device"));
-  pool.count = static_cast<int>(json.get_int_or("count", 0));
-  if (pool.count <= 0) {
-    throw std::invalid_argument(context + ": \"count\" must be > 0");
-  }
-  return pool;
+  return schema::parse(json, {context.c_str()}, kPoolSchema);
 }
 
 util::Json GpuPool::to_json() const {
-  util::Json json = util::Json::object();
-  json["device"] = device_to_json(device);
-  json["count"] = util::Json(count);
-  return json;
+  return schema::write_object(*this, kPoolSchema);
 }
 
 std::int64_t HeadroomPolicy::bytes_for(const std::string& device_name,
@@ -127,134 +139,19 @@ std::int64_t HeadroomPolicy::bytes_for(const std::string& device_name,
 }
 
 HeadroomPolicy HeadroomPolicy::from_json(const util::Json& json) {
-  HeadroomPolicy policy;
-  policy.base = headroom_rule_from_json(json, "fleet request");
-  if (json.contains("per_device")) {
-    const util::Json& overrides = json.at("per_device");
-    if (!overrides.is_object()) {
-      throw std::invalid_argument(
-          "fleet request: headroom \"per_device\" must be an object keyed by "
-          "device name");
-    }
-    for (const auto& [name, rule] : overrides.as_object()) {
-      policy.per_device[name] = headroom_rule_from_json(
-          rule, "fleet request: headroom per_device." + name);
-    }
-  }
-  return policy;
+  return schema::parse(json, {"headroom", &kFleetRoot}, kHeadroomSchema);
 }
 
 util::Json HeadroomPolicy::to_json() const {
-  util::Json json = headroom_rule_to_json(base);
-  if (!per_device.empty()) {
-    util::Json overrides = util::Json::object();
-    for (const auto& [name, rule] : per_device) {
-      overrides[name] = headroom_rule_to_json(rule);
-    }
-    json["per_device"] = std::move(overrides);
-  }
-  return json;
+  return schema::write_object(*this, kHeadroomSchema);
 }
 
 FleetRequest FleetRequest::from_json(const util::Json& json) {
-  if (!json.is_object()) {
-    throw std::invalid_argument("fleet request: top level must be an object");
-  }
-  FleetRequest request;
-  if (!json.contains("jobs") || !json.at("jobs").is_array() ||
-      json.at("jobs").size() == 0) {
-    throw std::invalid_argument(
-        "fleet request: \"jobs\" must be a non-empty array");
-  }
-  const util::JsonArray& jobs = json.at("jobs").as_array();
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    request.jobs.push_back(FleetJob::from_json(jobs[i], i));
-  }
-  if (!json.contains("pools") || !json.at("pools").is_array() ||
-      json.at("pools").size() == 0) {
-    throw std::invalid_argument(
-        "fleet request: \"pools\" must be a non-empty array");
-  }
-  const util::JsonArray& pools = json.at("pools").as_array();
-  for (std::size_t i = 0; i < pools.size(); ++i) {
-    request.pools.push_back(GpuPool::from_json(
-        pools[i], "fleet request pools[" + std::to_string(i) + "]"));
-  }
-  request.policy = json.get_string_or("policy", "first-fit");
-  if (json.contains("headroom")) {
-    request.headroom = HeadroomPolicy::from_json(json.at("headroom"));
-  }
-  request.estimator = json.get_string_or("estimator", "xMem");
-  request.allocator =
-      json.get_string_or("allocator", alloc::kDefaultBackendName);
-  if (json.contains("allocator_config")) {
-    request.allocator_config = core::allocator_config_from_json(
-        json.at("allocator_config"), "fleet request");
-  }
-  request.profile_iterations =
-      static_cast<int>(json.get_int_or("profile_iterations", 3));
-  request.max_gpus_per_job =
-      static_cast<int>(json.get_int_or("max_gpus_per_job", 8));
-  if (json.contains("comm_overlap")) {
-    if (!json.at("comm_overlap").is_bool()) {
-      throw std::invalid_argument(
-          "fleet request: \"comm_overlap\" must be a boolean (true makes "
-          "the multi-GPU plan fallback simulate collectives as overlap "
-          "windows; omit it or pass false for resident staging buffers)");
-    }
-    request.comm_overlap = json.at("comm_overlap").as_bool();
-  }
-  if (json.contains("refine_all")) {
-    if (!json.at("refine_all").is_bool()) {
-      throw std::invalid_argument(
-          "fleet request: \"refine_all\" must be a boolean (true makes the "
-          "multi-GPU plan fallback replay every ranked decomposition instead "
-          "of the top-K)");
-    }
-    request.refine_all = json.at("refine_all").as_bool();
-  }
-  request.tenant = json.get_string_or("tenant", "");
-  if (json.contains("what_if")) {
-    if (!json.at("what_if").is_array()) {
-      throw std::invalid_argument(
-          "fleet request: \"what_if\" must be an array of pools");
-    }
-    const util::JsonArray& added = json.at("what_if").as_array();
-    for (std::size_t i = 0; i < added.size(); ++i) {
-      request.what_if.push_back(GpuPool::from_json(
-          added[i], "fleet request what_if[" + std::to_string(i) + "]"));
-    }
-  }
-  return request;
+  return schema::parse(json, kFleetRoot, kFleetSchema);
 }
 
 util::Json FleetRequest::to_json() const {
-  util::Json json = util::Json::object();
-  util::Json job_array = util::Json::array();
-  for (const FleetJob& fleet_job : jobs) job_array.push_back(fleet_job.to_json());
-  json["jobs"] = std::move(job_array);
-  util::Json pool_array = util::Json::array();
-  for (const GpuPool& pool : pools) pool_array.push_back(pool.to_json());
-  json["pools"] = std::move(pool_array);
-  json["policy"] = util::Json(policy);
-  json["headroom"] = headroom.to_json();
-  json["estimator"] = util::Json(estimator);
-  json["allocator"] = util::Json(allocator);
-  if (!allocator_config.empty()) {
-    json["allocator_config"] = core::allocator_config_to_json(allocator_config);
-  }
-  json["profile_iterations"] = util::Json(profile_iterations);
-  json["max_gpus_per_job"] = util::Json(max_gpus_per_job);
-  // Emitted only when set so resident-mode documents round-trip unchanged.
-  if (comm_overlap) json["comm_overlap"] = util::Json(true);
-  if (refine_all) json["refine_all"] = util::Json(true);
-  if (!tenant.empty()) json["tenant"] = util::Json(tenant);
-  if (!what_if.empty()) {
-    util::Json added = util::Json::array();
-    for (const GpuPool& pool : what_if) added.push_back(pool.to_json());
-    json["what_if"] = std::move(added);
-  }
-  return json;
+  return schema::write_object(*this, kFleetSchema);
 }
 
 util::Json JobVerdict::to_json() const {

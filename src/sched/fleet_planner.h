@@ -116,6 +116,14 @@ struct FleetRequest {
   util::Json to_json() const;
 };
 
+/// The fleet request field table and the tables of the objects inside it
+/// (docs/API.md "Request fields").
+extern const util::schema::Schema<FleetRequest> kFleetSchema;
+extern const util::schema::Schema<FleetJob> kFleetJobSchema;
+extern const util::schema::Schema<GpuPool> kPoolSchema;
+extern const util::schema::Schema<HeadroomPolicy> kHeadroomSchema;
+extern const util::schema::Schema<HeadroomRule> kHeadroomRuleSchema;
+
 enum class Verdict : std::uint8_t { kAdmit, kDefer, kReject };
 const char* to_string(Verdict verdict);
 

@@ -34,13 +34,6 @@ std::int64_t Json::get_int_or(const std::string& key,
   return it->second.as_int();
 }
 
-double Json::get_double_or(const std::string& key, double fallback) const {
-  if (!is_object()) return fallback;
-  auto it = as_object().find(key);
-  if (it == as_object().end() || !it->second.is_number()) return fallback;
-  return it->second.as_double();
-}
-
 std::string Json::get_string_or(const std::string& key,
                                 const std::string& fallback) const {
   if (!is_object()) return fallback;
@@ -226,14 +219,24 @@ class Parser {
     skip_whitespace();
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{': return nested(&Parser::parse_object);
+      case '[': return nested(&Parser::parse_array);
       case '"': return Json(parse_string());
       case 't': return parse_literal("true", Json(true));
       case 'f': return parse_literal("false", Json(false));
       case 'n': return parse_literal("null", Json(nullptr));
       default: return parse_number();
     }
+  }
+
+  Json nested(Json (Parser::*parse_container)()) {
+    if (++depth_ > Json::kMaxDepth) {
+      fail("nesting deeper than " + std::to_string(Json::kMaxDepth) +
+           " levels");
+    }
+    Json value = (this->*parse_container)();
+    --depth_;
+    return value;
   }
 
   Json parse_literal(std::string_view literal, Json value) {
@@ -405,6 +408,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -86,7 +86,6 @@ class Json {
   const Json& at(const std::string& key) const;
   bool contains(const std::string& key) const;
   std::int64_t get_int_or(const std::string& key, std::int64_t fallback) const;
-  double get_double_or(const std::string& key, double fallback) const;
   std::string get_string_or(const std::string& key,
                             const std::string& fallback) const;
 
@@ -101,8 +100,14 @@ class Json {
   /// Serialize. `indent < 0` => compact single-line output.
   std::string dump(int indent = -1) const;
 
+  /// Deepest array/object nesting parse() accepts. Every document the
+  /// program reads (traces, requests, reports) nests a handful of levels;
+  /// the cap keeps a hostile frame of nested brackets from exhausting the
+  /// parser's stack.
+  static constexpr int kMaxDepth = 64;
+
   /// Parse a complete JSON document; throws JsonParseError on malformed
-  /// input (including trailing garbage).
+  /// input (including trailing garbage and nesting deeper than kMaxDepth).
   static Json parse(std::string_view text);
 
  private:

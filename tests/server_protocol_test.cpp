@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "server/client.h"
@@ -246,6 +247,58 @@ TEST(ServerProtocol, MissingRequestDocumentIsActionable) {
   ASSERT_EQ(client.read_reply(reply), server::FrameStatus::kOk);
   EXPECT_TRUE(has_error_code(reply, server::kErrBadRequest)) << reply;
   EXPECT_NE(reply.find("request"), std::string::npos) << reply;
+  daemon.stop();
+}
+
+TEST(ServerProtocol, MalformedRequestFieldsGetBadRequestNamingTheField) {
+  server::Server daemon(protocol_config("bad_fields"));
+  daemon.start();
+  server::Client client(daemon.config().socket_path, /*timeout_ms=*/15000);
+  const std::string job = R"("job": {"model": "distilgpt2", "batch": 5})";
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {R"({"type": "plan", "request": {)" + job +
+           R"(, "devices": ["rtx3060"], "max_gpus": 4294967298}})",
+       "max_gpus"},
+      {R"({"type": "plan", "request": {)" + job +
+           R"(, "devices": ["rtx3060"], "max_gpus": "64"}})",
+       "max_gpus"},
+      {R"({"type": "plan", "request": {)" + job +
+           R"(, "devices": ["rtx3060"], "max_gpu": 64}})",
+       "max_gpu"},
+      {R"({"type": "plan", "request": {)" + job +
+           R"(, "devices": ["rtx3060"], "zero_stage": "3"}})",
+       "zero_stage"},
+      {R"({"type": "sweep", "request": {"job": {"model": "distilgpt2",
+           "batch": 4294967301}, "devices": ["rtx3060"]}})",
+       "batch"},
+      {R"({"type": "sweep", "request": {"job": {"model": "distilgpt2",
+           "batch": 5.9}, "devices": ["rtx3060"]}})",
+       "batch"},
+      {R"({"type": "sweep", "request": {)" + job +
+           R"(, "devices": ["rtx3060"], "profile_iterations": -5}})",
+       "profile_iterations"},
+  };
+  for (const auto& [frame, field] : cases) {
+    ASSERT_TRUE(client.send_frame(frame));
+    std::string reply;
+    ASSERT_EQ(client.read_reply(reply), server::FrameStatus::kOk);
+    EXPECT_TRUE(has_error_code(reply, server::kErrBadRequest)) << reply;
+    EXPECT_NE(reply.find("\\\"" + field + "\\\""), std::string::npos)
+        << reply;
+  }
+  daemon.stop();
+}
+
+TEST(ServerProtocol, DeeplyNestedFrameIsAParseErrorNotACrash) {
+  server::Server daemon(protocol_config("deep_nesting"));
+  daemon.start();
+  server::Client client(daemon.config().socket_path, /*timeout_ms=*/15000);
+  ASSERT_TRUE(client.send_frame(std::string(400000, '[')));
+  std::string reply;
+  ASSERT_EQ(client.read_reply(reply), server::FrameStatus::kOk);
+  EXPECT_TRUE(has_error_code(reply, server::kErrParse)) << reply;
+  EXPECT_NE(reply.find("nesting"), std::string::npos) << reply;
+  EXPECT_NO_THROW(client.ping());
   daemon.stop();
 }
 

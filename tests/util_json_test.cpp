@@ -54,6 +54,31 @@ TEST(JsonParse, Errors) {
   EXPECT_THROW(Json::parse("\"bad \\x escape\""), JsonParseError);
 }
 
+TEST(JsonParse, DeepNestingThrowsInsteadOfExhaustingTheStack) {
+  const std::string deep(200000, '[');
+  try {
+    Json::parse(deep);
+    FAIL() << "200k nested brackets parsed";
+  } catch (const JsonParseError& error) {
+    EXPECT_EQ(error.offset(), static_cast<std::size_t>(Json::kMaxDepth));
+    EXPECT_NE(std::string(error.what()).find("nesting"), std::string::npos);
+  }
+  // Objects count toward the same limit.
+  std::string objects;
+  for (int i = 0; i <= Json::kMaxDepth; ++i) objects += "{\"a\":";
+  EXPECT_THROW(Json::parse(objects), JsonParseError);
+}
+
+TEST(JsonParse, NestingAtExactlyTheLimitParses) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_EQ(Json::parse(nested(Json::kMaxDepth)).dump(),
+            nested(Json::kMaxDepth));
+  EXPECT_THROW(Json::parse(nested(Json::kMaxDepth + 1)), JsonParseError);
+}
+
 TEST(JsonDump, CompactRoundTrip) {
   const char* text = R"({"arr":[1,2.5,"s"],"b":false,"n":null})";
   const Json doc = Json::parse(text);

@@ -198,8 +198,10 @@ rm -f "${overlap_actual}"
 # The overlap fixture again with --refine-all: every enumerated
 # decomposition replays, which is only affordable because symmetric ranks
 # collapse onto shared replays. Grep-only (the report payload is pinned by
-# the top-K goldens above): still exactly one CPU profile, and a nonzero
-# replays_deduped proving the collapse fired on the full search.
+# the top-K goldens above): still exactly one CPU profile, a nonzero
+# replays_deduped proving the collapse fired on the full search, and
+# replayed_candidates == candidates_evaluated — the fixture's
+# max_candidates cap trims the report after refinement, never the search.
 
 refine_all_actual="$(mktemp)"
 refine_all_failed=0
@@ -212,6 +214,16 @@ if ! grep -q '"profiles_run": 1,' "${refine_all_actual}"; then
 fi
 if ! grep -qE '"replays_deduped": [1-9]' "${refine_all_actual}"; then
   echo "REFINE-ALL SMOKE: symmetric-rank dedup must collapse some replays" >&2
+  GOLDEN_FAILED=1
+  refine_all_failed=1
+fi
+evaluated="$(grep -oE '"candidates_evaluated": [0-9]+' "${refine_all_actual}" |
+  grep -oE '[0-9]+$' || true)"
+replayed="$(grep -oE '"replayed_candidates": [0-9]+' "${refine_all_actual}" |
+  grep -oE '[0-9]+$' || true)"
+if [[ -z "${evaluated}" || "${replayed}" != "${evaluated}" ]]; then
+  echo "REFINE-ALL SMOKE: replayed_candidates (${replayed:-missing}) must" \
+    "equal candidates_evaluated (${evaluated:-missing})" >&2
   GOLDEN_FAILED=1
   refine_all_failed=1
 fi

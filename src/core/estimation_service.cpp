@@ -233,6 +233,61 @@ const alloc::BackendKnobs& knobs_for(
   return it == config.end() ? empty : it->second;
 }
 
+/// 100 * (to - from) / from, integer-truncated (0 when `from` is not
+/// positive): the one percent rule behind savings_pct,
+/// analytic_vs_replayed_pct and window_vs_resident_pct.
+int percent_change(std::int64_t from, std::int64_t to) {
+  return from > 0 ? static_cast<int>(100 * (to - from) / from) : 0;
+}
+
+/// The one verdict rule: a peak fits a device when it stays within the
+/// device's job budget. Fills one verdict per device; returns the fits.
+std::size_t judge_fits(std::int64_t peak,
+                       const std::vector<gpu::DeviceModel>& devices,
+                       std::vector<bool>& fits) {
+  fits.clear();
+  for (const gpu::DeviceModel& device : devices) {
+    fits.push_back(peak <= device.job_budget());
+  }
+  return static_cast<std::size_t>(std::count(fits.begin(), fits.end(), true));
+}
+
+/// The one best-first order: fit the most candidate devices with the fewest
+/// GPUs and the lowest per-rank peak; (d, t, p) breaks remaining ties so the
+/// order is total and thread-count independent. `replayed` substitutes the
+/// replayed verdicts and peak for the analytic ones.
+auto rank_key(const PlanCandidate& c, bool replayed) {
+  return std::make_tuple(
+      -static_cast<std::int64_t>(replayed ? c.replayed_fits_count
+                                          : c.fits_count),
+      c.plan.gpus, replayed ? c.replayed_per_rank_peak : c.plan.per_rank_peak,
+      c.plan.data_parallel, c.plan.tensor_parallel, c.plan.pipeline_stages);
+}
+
+/// Sort the first `count` candidates best-first by rank_key.
+void sort_best_first(std::vector<PlanCandidate>& candidates, std::size_t count,
+                     bool replayed) {
+  std::sort(candidates.begin(),
+            candidates.begin() + static_cast<std::ptrdiff_t>(count),
+            [replayed](const PlanCandidate& a, const PlanCandidate& b) {
+              return rank_key(a, replayed) < rank_key(b, replayed);
+            });
+}
+
+using Peaks = schema::List<schema::Int>;
+
+util::Json fits_to_json(const std::vector<gpu::DeviceModel>& devices,
+                        const std::vector<bool>& fits) {
+  util::Json verdicts = util::Json::array();
+  for (std::size_t i = 0; i < devices.size() && i < fits.size(); ++i) {
+    util::Json verdict = util::Json::object();
+    verdict["device"] = util::Json(devices[i].name);
+    verdict["fits"] = util::Json(static_cast<bool>(fits[i]));
+    verdicts.push_back(std::move(verdict));
+  }
+  return verdicts;
+}
+
 }  // namespace
 
 EstimateRequest EstimateRequest::from_json(const util::Json& json) {
@@ -329,11 +384,7 @@ util::Json PlanCandidate::to_json(
   json["per_rank_peak_bytes"] = util::Json(plan.per_rank_peak);
   json["savings_pct"] = util::Json(savings_pct);
   json["splitting_helps"] = util::Json(splitting_helps);
-  util::Json ranks = util::Json::array();
-  for (const std::int64_t peak : plan.rank_peaks) {
-    ranks.push_back(util::Json(peak));
-  }
-  json["rank_peaks_bytes"] = std::move(ranks);
+  json["rank_peaks_bytes"] = Peaks::write(plan.rank_peaks);
   util::Json stages = util::Json::array();
   for (const PipelineStage& stage : plan.stages) {
     util::Json entry = util::Json::object();
@@ -345,43 +396,20 @@ util::Json PlanCandidate::to_json(
     stages.push_back(std::move(entry));
   }
   json["stages"] = std::move(stages);
-  util::Json verdicts = util::Json::array();
-  for (std::size_t i = 0; i < devices.size() && i < device_fits.size(); ++i) {
-    util::Json verdict = util::Json::object();
-    verdict["device"] = util::Json(devices[i].name);
-    verdict["fits"] = util::Json(static_cast<bool>(device_fits[i]));
-    verdicts.push_back(std::move(verdict));
-  }
-  json["fits"] = std::move(verdicts);
+  json["fits"] = fits_to_json(devices, device_fits);
   json["replayed"] = util::Json(replayed);
   if (replayed) {
     util::Json replay = util::Json::object();
-    util::Json rank_array = util::Json::array();
-    for (const std::int64_t peak : replayed_rank_peaks) {
-      rank_array.push_back(util::Json(peak));
-    }
-    replay["rank_peaks_bytes"] = std::move(rank_array);
+    replay["rank_peaks_bytes"] = Peaks::write(replayed_rank_peaks);
     replay["per_rank_peak_bytes"] = util::Json(replayed_per_rank_peak);
     replay["analytic_vs_replayed_pct"] = util::Json(analytic_vs_replayed_pct);
-    util::Json replay_verdicts = util::Json::array();
-    for (std::size_t i = 0;
-         i < devices.size() && i < replayed_device_fits.size(); ++i) {
-      util::Json verdict = util::Json::object();
-      verdict["device"] = util::Json(devices[i].name);
-      verdict["fits"] = util::Json(static_cast<bool>(replayed_device_fits[i]));
-      replay_verdicts.push_back(std::move(verdict));
-    }
-    replay["fits"] = std::move(replay_verdicts);
+    replay["fits"] = fits_to_json(devices, replayed_device_fits);
     replay["verdict_changed"] = util::Json(verdict_changed);
     if (window_mode) {
       // Overlap-window refinement: the peaks above are window-mode; keep
       // the resident baseline next to them (these keys only appear under
       // comm_overlap, so resident-mode reports stay byte-identical).
-      util::Json resident_array = util::Json::array();
-      for (const std::int64_t peak : resident_rank_peaks) {
-        resident_array.push_back(util::Json(peak));
-      }
-      replay["resident_rank_peaks_bytes"] = std::move(resident_array);
+      replay["resident_rank_peaks_bytes"] = Peaks::write(resident_rank_peaks);
       replay["resident_per_rank_peak_bytes"] =
           util::Json(resident_per_rank_peak);
       replay["window_vs_resident_pct"] = util::Json(window_vs_resident_pct);
@@ -444,8 +472,16 @@ struct EstimationService::SweepCounters {
   std::atomic<std::size_t> profiles_run{0};
   std::atomic<std::size_t> profile_cache_hits{0};
   std::atomic<std::size_t> replays_run{0};
-  std::atomic<std::size_t> replayed_candidates{0};
   std::atomic<std::size_t> result_cache_hits{0};
+
+  /// The stage counters every report (EstimateReport, PlanReport) carries.
+  template <typename Report>
+  void copy_to(Report& report) const {
+    report.profiles_run = profiles_run.load();
+    report.profile_cache_hits = profile_cache_hits.load();
+    report.replays_run = replays_run.load();
+    report.result_cache_hits = result_cache_hits.load();
+  }
 };
 
 struct EstimationService::Impl {
@@ -475,9 +511,9 @@ EstimationService::EstimationService(ServiceOptions options)
 
 EstimationService::~EstimationService() = default;
 
-ProfileKey EstimationService::profile_key_for(const TrainJob& job,
-                                              bool orchestrate,
-                                              int profile_iterations) const {
+ProfileSession::Lookup EstimationService::lookup_profile(
+    const TrainJob& job, bool orchestrate, int profile_iterations,
+    const std::string& tenant, SweepCounters& counters) {
   ProfileKey key;
   key.model_name = job.model_name;
   key.batch_size = job.batch_size;
@@ -494,7 +530,10 @@ ProfileKey EstimationService::profile_key_for(const TrainJob& job,
     key.orchestrator_config.rule_gradients = false;
     key.orchestrator_config.rule_optimizer_state = false;
   }
-  return key;
+  ProfileSession::Lookup lookup = session_->get(key, tenant);
+  (lookup.cache_hit ? counters.profile_cache_hits : counters.profiles_run)
+      .fetch_add(1);
+  return lookup;
 }
 
 Estimator& EstimationService::estimator_instance(const std::string& name) {
@@ -602,15 +641,9 @@ EstimateEntry EstimationService::run_entry(const EstimateRequest& request,
   entry.device_job_budget = device.job_budget();
 
   if (spec.session_backed) {
-    const ProfileSession::Lookup lookup = session_->get(
-        profile_key_for(request.job, estimator_orchestrates(spec.estimator),
-                        request.profile_iterations),
-        request.tenant);
-    if (lookup.cache_hit) {
-      counters.profile_cache_hits.fetch_add(1);
-    } else {
-      counters.profiles_run.fetch_add(1);
-    }
+    const ProfileSession::Lookup lookup = lookup_profile(
+        request.job, estimator_orchestrates(spec.estimator),
+        request.profile_iterations, request.tenant, counters);
 
     const auto replay_start = std::chrono::steady_clock::now();
     MemorySimulator simulator;
@@ -657,42 +690,39 @@ EstimateEntry EstimationService::run_entry(const EstimateRequest& request,
   return entry;
 }
 
-EstimateReport EstimationService::sweep(const EstimateRequest& request) {
-  const auto sweep_start = std::chrono::steady_clock::now();
-
+void EstimationService::validate(const std::string& context,
+                                 const EstimateRequest& request) {
   if (request.devices.empty()) {
-    throw std::invalid_argument("sweep: request has no devices");
+    throw std::invalid_argument(context + ": request has no devices");
   }
   if (!models::is_known_model(request.job.model_name)) {
-    throw std::invalid_argument("sweep: unknown model '" +
+    throw std::invalid_argument(context + ": unknown model '" +
                                 request.job.model_name + "'");
   }
-  const std::vector<std::string> allocators =
-      request.allocators.empty()
-          ? std::vector<std::string>{alloc::kDefaultBackendName}
-          : request.allocators;
-  for (const std::string& allocator : allocators) {
+  for (const std::string& allocator : request.allocators) {
     if (!alloc::is_known_backend(allocator)) {
-      throw std::invalid_argument("sweep: unknown allocator '" + allocator +
-                                  "'");
+      throw std::invalid_argument(context + ": unknown allocator '" +
+                                  allocator + "'");
     }
   }
-  validate_allocator_config(request.allocator_config, "sweep");
-  const std::vector<std::string> estimators =
-      request.estimators.empty() ? std::vector<std::string>{"xMem"}
-                                 : request.estimators;
+  validate_allocator_config(request.allocator_config, context);
+  for (const std::string& estimator : request.estimators) {
+    if (!is_known_estimator(estimator)) {
+      throw std::invalid_argument(context + ": unknown estimator '" +
+                                  estimator + "'");
+    }
+  }
+}
 
+std::vector<EstimateEntry> EstimationService::run_entries(
+    const EstimateRequest& request, SweepCounters& counters) {
   // Fix the (deterministic) entry order up front; workers fill slots.
   std::vector<EntrySpec> specs;
-  for (const std::string& estimator : estimators) {
-    if (!is_known_estimator(estimator)) {
-      throw std::invalid_argument("sweep: unknown estimator '" + estimator +
-                                  "'");
-    }
+  for (const std::string& estimator : request.estimators) {
     const bool session_backed = estimator_uses_session(estimator);
     for (std::size_t d = 0; d < request.devices.size(); ++d) {
       if (session_backed) {
-        for (const std::string& allocator : allocators) {
+        for (const std::string& allocator : request.allocators) {
           specs.push_back(EntrySpec{estimator, d, allocator, true});
         }
       } else {
@@ -700,89 +730,81 @@ EstimateReport EstimationService::sweep(const EstimateRequest& request) {
       }
     }
   }
+  std::vector<EstimateEntry> entries(specs.size());
+  run_fanned(specs.size(), [&](std::size_t i) {
+    entries[i] = run_entry(request, specs[i], counters);
+  });
+  return entries;
+}
 
+EstimateReport EstimationService::sweep(const EstimateRequest& request) {
+  const auto sweep_start = std::chrono::steady_clock::now();
   EstimateRequest normalized = request;
-  normalized.allocators = allocators;
-  normalized.estimators = estimators;
+  if (normalized.allocators.empty()) {
+    normalized.allocators = {alloc::kDefaultBackendName};
+  }
+  if (normalized.estimators.empty()) normalized.estimators = {"xMem"};
+  validate("sweep", normalized);
 
   EstimateReport report;
   report.job = request.job;
-  report.entries.resize(specs.size());
   SweepCounters counters;
-
-  run_fanned(specs.size(), [this, &normalized, &specs, &report,
-                            &counters](std::size_t i) {
-    report.entries[i] = run_entry(normalized, specs[i], counters);
-  });
-
-  report.profiles_run = counters.profiles_run.load();
-  report.profile_cache_hits = counters.profile_cache_hits.load();
-  report.replays_run = counters.replays_run.load();
-  report.result_cache_hits = counters.result_cache_hits.load();
+  report.entries = run_entries(normalized, counters);
+  counters.copy_to(report);
   report.wall_seconds = seconds_since(sweep_start);
   return report;
 }
 
 PlanReport EstimationService::plan(const PlanRequest& request) {
   const auto plan_start = std::chrono::steady_clock::now();
-
-  if (request.devices.empty()) {
-    throw std::invalid_argument("plan: request has no devices");
-  }
-  if (!models::is_known_model(request.job.model_name)) {
-    throw std::invalid_argument("plan: unknown model '" +
-                                request.job.model_name + "'");
-  }
-  if (!alloc::is_known_backend(request.allocator)) {
-    throw std::invalid_argument("plan: unknown allocator '" +
-                                request.allocator + "'");
-  }
-  validate_allocator_config(request.allocator_config, "plan");
-
-  PlanReport report;
-  report.job = request.job;
-  report.devices = request.devices;
-  SweepCounters counters;
-
-  // Single-device baseline: one simulator replay per candidate device, all
-  // sharing the session's profile (the first one to arrive pays for it;
-  // in-flight dedup keeps concurrent entries from profiling twice).
+  // The single-device baseline: one xMem replay per candidate device under
+  // the plan's allocator, asked as a sweep so it validates and fans out
+  // exactly like one.
   EstimateRequest baseline;
   baseline.job = request.job;
   baseline.devices = request.devices;
   baseline.allocators = {request.allocator};
-  baseline.estimators = {"xMem"};
   baseline.allocator_config = request.allocator_config;
   baseline.profile_iterations = request.profile_iterations;
   baseline.tenant = request.tenant;
-  std::vector<EntrySpec> specs;
-  for (std::size_t d = 0; d < request.devices.size(); ++d) {
-    specs.push_back(EntrySpec{"xMem", d, request.allocator, true});
-  }
-  report.single_device_entries.resize(specs.size());
+  validate("plan", baseline);
 
-  run_fanned(specs.size(), [&](std::size_t i) {
-    report.single_device_entries[i] = run_entry(baseline, specs[i], counters);
-  });
-
-  // The per-layer attribution the whole candidate grid shares: by now the
-  // profile is resident (or in the degenerate all-results-cached case this
-  // lookup is the one that runs it), so the search costs ONE profile total.
-  const ProfileSession::Lookup lookup = session_->get(
-      profile_key_for(request.job, estimator_orchestrates("xMem"),
-                      request.profile_iterations),
-      request.tenant);
-  if (lookup.cache_hit) {
-    counters.profile_cache_hits.fetch_add(1);
-  } else {
-    counters.profiles_run.fetch_add(1);
-  }
+  PlanReport report;
+  report.job = request.job;
+  report.devices = request.devices;
+  report.comm_overlap = request.comm_overlap;
+  SweepCounters counters;
+  // The first baseline entry to arrive pays for the profile; in-flight
+  // dedup keeps the others from profiling twice.
+  report.single_device_entries = run_entries(baseline, counters);
+  // By now the profile is resident (or, when every baseline entry came from
+  // the result cache, this lookup is the one that runs it), so the whole
+  // search costs ONE profile.
+  const ProfileSession::Lookup lookup =
+      lookup_profile(request.job, estimator_orchestrates("xMem"),
+                     request.profile_iterations, request.tenant, counters);
   const std::vector<ComponentProfile> profiles =
       per_component_profile(lookup.artifacts->analysis.timeline);
 
+  rank_grid(request, profiles, report);
+  refine(request, lookup.artifacts->orchestration.sequence, profiles, report);
+  if (request.comm_overlap) rerank(report);
+  // The cap trims the report only: it runs after refine and re-rank, so it
+  // never limits which candidates replay or where they rank.
+  if (request.max_candidates > 0 &&
+      report.candidates.size() > request.max_candidates) {
+    report.candidates.resize(request.max_candidates);
+  }
+  counters.copy_to(report);
+  report.wall_seconds = seconds_since(plan_start);
+  return report;
+}
+
+void EstimationService::rank_grid(
+    const PlanRequest& request, const std::vector<ComponentProfile>& profiles,
+    PlanReport& report) {
   DistributedPlanner planner;
   report.single_device_peak = planner.single_device_peak(profiles);
-
   const std::vector<Decomposition> decompositions =
       DistributedPlanner::enumerate_decompositions(
           request.max_gpus, static_cast<int>(profiles.size()));
@@ -802,50 +824,26 @@ PlanReport EstimationService::plan(const PlanRequest& request) {
     options.ddp_bucket_count = request.ddp_bucket_count;
     options.tensor.activation_replication_pct =
         request.activation_replication_pct;
-    PlanCandidate candidate;
+    PlanCandidate& candidate = report.candidates[i];
     candidate.plan = planner.plan_hybrid(profiles, options);
-    if (report.single_device_peak > 0) {
-      candidate.savings_pct = static_cast<int>(
-          100 * (report.single_device_peak - candidate.plan.per_rank_peak) /
-          report.single_device_peak);
-    }
-    candidate.splitting_helps =
-        candidate.plan.per_rank_peak < report.single_device_peak;
-    candidate.device_fits.reserve(request.devices.size());
-    for (const gpu::DeviceModel& device : request.devices) {
-      const bool fits = candidate.plan.per_rank_peak <= device.job_budget();
-      candidate.device_fits.push_back(fits);
-      if (fits) ++candidate.fits_count;
-    }
-    report.candidates[i] = std::move(candidate);
+    const std::int64_t peak = candidate.plan.per_rank_peak;
+    candidate.savings_pct = -percent_change(report.single_device_peak, peak);
+    candidate.splitting_helps = peak < report.single_device_peak;
+    candidate.fits_count =
+        judge_fits(peak, request.devices, candidate.device_fits);
   });
+  sort_best_first(report.candidates, report.candidates.size(),
+                  /*replayed=*/false);
+}
 
-  // Rank best-first: fit the most candidate devices with the fewest GPUs
-  // and the lowest per-rank peak; (d, t, p) breaks remaining ties so the
-  // order is total and thread-count independent.
-  std::sort(report.candidates.begin(), report.candidates.end(),
-            [](const PlanCandidate& a, const PlanCandidate& b) {
-              if (a.fits_count != b.fits_count)
-                return a.fits_count > b.fits_count;
-              if (a.plan.gpus != b.plan.gpus) return a.plan.gpus < b.plan.gpus;
-              if (a.plan.per_rank_peak != b.plan.per_rank_peak)
-                return a.plan.per_rank_peak < b.plan.per_rank_peak;
-              if (a.plan.data_parallel != b.plan.data_parallel)
-                return a.plan.data_parallel < b.plan.data_parallel;
-              if (a.plan.tensor_parallel != b.plan.tensor_parallel)
-                return a.plan.tensor_parallel < b.plan.tensor_parallel;
-              return a.plan.pipeline_stages < b.plan.pipeline_stages;
-            });
-  if (request.max_candidates > 0 &&
-      report.candidates.size() > request.max_candidates) {
-    report.candidates.resize(request.max_candidates);
-  }
-
-  // Phase 2: replay the top-K survivors (or, under refine_all, every
-  // ranked decomposition) through the allocator tower. The transformer
-  // binds the ONE cached orchestrated sequence; each worker owns its
-  // scratch, so the fan-out is deterministic and the buffers amortize
-  // across a candidate's ranks.
+void EstimationService::refine(const PlanRequest& request,
+                               const OrchestratedSequence& sequence,
+                               const std::vector<ComponentProfile>& profiles,
+                               PlanReport& report) {
+  // Replay the top-K ranked candidates (or, under refine_all, every one)
+  // through the allocator tower. The transformer binds the ONE cached
+  // orchestrated sequence; each worker owns its scratch, so the fan-out is
+  // deterministic and the buffers amortize across a candidate's ranks.
   //
   // Symmetric-rank collapse: a candidate's replayed peaks cover all d*t*p
   // deployment ranks, but the transform has no DP/TP rank index — the d*t
@@ -860,220 +858,166 @@ PlanReport EstimationService::plan(const PlanRequest& request) {
   // Clamp before the size_t cast: a negative refine_top_k reaching here
   // through the C++ API (the JSON path rejects it) means "disabled", not
   // "refine everything" via wraparound.
-  const std::size_t refine_count =
+  const std::size_t count =
       request.refine_all
           ? report.candidates.size()
           : std::min<std::size_t>(
                 static_cast<std::size_t>(std::max(request.refine_top_k, 0)),
                 report.candidates.size());
-  if (refine_count > 0) {
-    const SequenceTransformer transformer(
-        lookup.artifacts->orchestration.sequence, profiles);
-    // Per-candidate stage fingerprints, slot-indexed so the fan-out records
-    // them race-free; the counter post-pass below reads them in candidate
-    // order on the calling thread.
-    struct RefineTrace {
-      std::vector<std::uint64_t> resident_fps;  ///< comm_overlap baseline
-      std::vector<std::uint64_t> replay_fps;    ///< the ranking replays
-      std::size_t symmetric = 1;                ///< d*t siblings per stage
+  report.replayed_candidates = count;
+  if (count == 0) return;
+
+  const SequenceTransformer transformer(sequence, profiles);
+  // Per-candidate stage fingerprints, slot-indexed so the fan-out records
+  // them race-free; the counter post-pass below reads them in candidate
+  // order on the calling thread.
+  struct RefineTrace {
+    std::vector<std::uint64_t> resident_fps;  ///< comm_overlap baseline
+    std::vector<std::uint64_t> replay_fps;    ///< the ranking replays
+    std::size_t symmetric = 1;                ///< d*t siblings per stage
+  };
+  std::vector<RefineTrace> traces(count);
+  run_fanned(count, [&](std::size_t i) {
+    PlanCandidate& candidate = report.candidates[i];
+    RankTransformOptions transform;
+    transform.data_parallel = candidate.plan.data_parallel;
+    transform.tensor_parallel = candidate.plan.tensor_parallel;
+    transform.micro_batches = request.micro_batches;
+    transform.zero = request.zero;
+    transform.ddp_bucket_bytes = request.ddp_bucket_bytes;
+    transform.ddp_bucket_count = request.ddp_bucket_count;
+    transform.tensor.activation_replication_pct =
+        request.activation_replication_pct;
+    transform.materialize_blocks = false;  // events are all the replay needs
+
+    const std::size_t stages =
+        std::max<std::size_t>(candidate.plan.rank_peaks.size(), 1);
+    const std::size_t symmetric = static_cast<std::size_t>(
+        std::max(1, candidate.plan.data_parallel) *
+        std::max(1, candidate.plan.tensor_parallel));
+    RefineTrace& trace = traces[i];
+    trace.symmetric = symmetric;
+    MemorySimulator simulator;
+    SimulationOptions sim_options;
+    sim_options.backend = request.allocator;
+    sim_options.backend_knobs =
+        knobs_for(request.allocator_config, request.allocator);
+    // Worker-thread-lifetime scratch: every candidate this thread picks
+    // up reuses the transform buffers AND the allocator tower, which is
+    // reset — not rebuilt — between replays. The backend_reset() contract
+    // (fw/backend.h) makes each replay byte-identical to a fresh-tower
+    // replay, and a memo-cache hit returns exactly what that replay
+    // would, so the report stays deterministic regardless of how
+    // candidates land on threads or what the cache happens to hold.
+    thread_local RankScratch scratch;
+    thread_local ReplayScratch replay_scratch;
+    const auto stage_peak = [&](const OrchestratedSequence& rank,
+                                std::uint64_t fingerprint) {
+      if (request.dedup_replays) {
+        return simulator.replay_peak_memoized(rank, fingerprint, sim_options,
+                                              replay_scratch);
+      }
+      // Naive baseline: simulate each of the stage's d*t symmetric
+      // deployment ranks individually. Every pass replays the identical
+      // sequence through a reset tower, so the last peak == the first.
+      std::int64_t peak = 0;
+      for (std::size_t sibling = 0; sibling < symmetric; ++sibling) {
+        peak = simulator.replay(rank, sim_options, &replay_scratch).peak_device;
+      }
+      return peak;
     };
-    std::vector<RefineTrace> traces(refine_count);
-    run_fanned(refine_count, [&](std::size_t i) {
-      PlanCandidate& candidate = report.candidates[i];
-      RankTransformOptions transform;
-      transform.data_parallel = candidate.plan.data_parallel;
-      transform.tensor_parallel = candidate.plan.tensor_parallel;
-      transform.micro_batches = request.micro_batches;
-      transform.zero = request.zero;
-      transform.ddp_bucket_bytes = request.ddp_bucket_bytes;
-      transform.ddp_bucket_count = request.ddp_bucket_count;
-      transform.tensor.activation_replication_pct =
-          request.activation_replication_pct;
-      transform.materialize_blocks = false;  // events are all the replay needs
-
-      const std::size_t stages =
-          std::max<std::size_t>(candidate.plan.rank_peaks.size(), 1);
-      const std::size_t symmetric = static_cast<std::size_t>(
-          std::max(1, candidate.plan.data_parallel) *
-          std::max(1, candidate.plan.tensor_parallel));
-      const std::size_t ranks = stages * symmetric;  // deployment ranks
-      RefineTrace& trace = traces[i];
-      trace.symmetric = symmetric;
-      trace.replay_fps.resize(stages);
-      MemorySimulator simulator;
-      SimulationOptions sim_options;
-      sim_options.backend = request.allocator;
-      sim_options.backend_knobs =
-          knobs_for(request.allocator_config, request.allocator);
-      // Worker-thread-lifetime scratch: every candidate this thread picks
-      // up reuses the transform buffers AND the allocator tower, which is
-      // reset — not rebuilt — between replays. The backend_reset() contract
-      // (fw/backend.h) makes each replay byte-identical to a fresh-tower
-      // replay, and a memo-cache hit returns exactly what that replay
-      // would, so the report stays deterministic regardless of how
-      // candidates land on threads or what the cache happens to hold.
-      thread_local RankScratch scratch;
-      thread_local ReplayScratch replay_scratch;
-      const auto stage_peak = [&](const OrchestratedSequence& sequence,
-                                  std::uint64_t fingerprint) {
-        if (request.dedup_replays) {
-          return simulator.replay_peak_memoized(sequence, fingerprint,
-                                                sim_options, replay_scratch);
-        }
-        // Naive baseline: simulate each of the stage's d*t symmetric
-        // deployment ranks individually. Every pass replays the identical
-        // sequence through a reset tower, so the last peak == the first.
-        std::int64_t peak = 0;
-        for (std::size_t sibling = 0; sibling < symmetric; ++sibling) {
-          peak = simulator.replay(sequence, sim_options, &replay_scratch)
-                     .peak_device;
-        }
-        return peak;
-      };
-      candidate.replayed_rank_peaks.assign(ranks, 0);
-      // Overlap-window mode replays every stage twice — resident first for
-      // the baseline, then with schedule-tied windows — so the report can
-      // state what the windows saved (window_vs_resident_pct).
-      if (request.comm_overlap) {
-        candidate.resident_rank_peaks.assign(ranks, 0);
-        trace.resident_fps.resize(stages);
-      }
+    // Replay every stage in one collective mode (resident or overlap
+    // windows), fan each stage peak across its d*t symmetric siblings in
+    // stage-major order, and return the worst rank.
+    const auto replay_stages = [&](bool window,
+                                   std::vector<std::int64_t>& rank_peaks,
+                                   std::vector<std::uint64_t>& fingerprints) {
+      transform.comm_overlap = window;
+      rank_peaks.assign(stages * symmetric, 0);
+      fingerprints.resize(stages);
       for (std::size_t s = 0; s < stages; ++s) {
-        if (request.comm_overlap) {
-          transform.comm_overlap = false;
-          const OrchestratedSequence& resident = transformer.rank_sequence(
-              transform, candidate.plan.stages, stages, s, scratch);
-          const std::uint64_t fingerprint = sequence_fingerprint(resident);
-          trace.resident_fps[s] = fingerprint;
-          const std::int64_t peak = stage_peak(resident, fingerprint);
-          for (std::size_t sibling = 0; sibling < symmetric; ++sibling) {
-            candidate.resident_rank_peaks[s * symmetric + sibling] = peak;
-          }
-          transform.comm_overlap = true;
-        }
-        const OrchestratedSequence& sequence = transformer.rank_sequence(
+        const OrchestratedSequence& rank = transformer.rank_sequence(
             transform, candidate.plan.stages, stages, s, scratch);
-        const std::uint64_t fingerprint = sequence_fingerprint(sequence);
-        trace.replay_fps[s] = fingerprint;
-        const std::int64_t peak = stage_peak(sequence, fingerprint);
-        for (std::size_t sibling = 0; sibling < symmetric; ++sibling) {
-          candidate.replayed_rank_peaks[s * symmetric + sibling] = peak;
-        }
+        fingerprints[s] = sequence_fingerprint(rank);
+        std::fill_n(rank_peaks.begin() + static_cast<std::ptrdiff_t>(
+                                             s * symmetric),
+                    symmetric, stage_peak(rank, fingerprints[s]));
       }
-      candidate.replayed = true;
-      candidate.replayed_per_rank_peak = *std::max_element(
-          candidate.replayed_rank_peaks.begin(),
-          candidate.replayed_rank_peaks.end());
-      if (request.comm_overlap) {
-        candidate.window_mode = true;
-        candidate.resident_per_rank_peak = *std::max_element(
-            candidate.resident_rank_peaks.begin(),
-            candidate.resident_rank_peaks.end());
-        if (candidate.resident_per_rank_peak > 0) {
-          candidate.window_vs_resident_pct = static_cast<int>(
-              100 *
-              (candidate.replayed_per_rank_peak -
-               candidate.resident_per_rank_peak) /
-              candidate.resident_per_rank_peak);
-        }
-      }
-      if (candidate.plan.per_rank_peak > 0) {
-        candidate.analytic_vs_replayed_pct = static_cast<int>(
-            100 *
-            (candidate.replayed_per_rank_peak - candidate.plan.per_rank_peak) /
-            candidate.plan.per_rank_peak);
-      }
-      candidate.replayed_device_fits.reserve(request.devices.size());
-      for (const gpu::DeviceModel& device : request.devices) {
-        const bool fits =
-            candidate.replayed_per_rank_peak <= device.job_budget();
-        candidate.replayed_device_fits.push_back(fits);
-        if (fits) ++candidate.replayed_fits_count;
-      }
-      candidate.verdict_changed =
-          candidate.replayed_device_fits != candidate.device_fits;
-      counters.replayed_candidates.fetch_add(1);
-    });
-
-    // Refinement-cost counters: a deterministic post-pass over the recorded
-    // fingerprints in (candidate, resident-before-window, stage) order —
-    // the schedule the dedup machinery executes, independent of thread
-    // interleaving and of whether dedup actually ran (dedup_replays =
-    // false pays the naive cost but reports the same schedule). Each stage
-    // stands for its d*t symmetric deployment ranks: the first sighting of
-    // a fingerprint is one real replay (rank_replays) and m-1 collapsed
-    // siblings; a repeat within the candidate collapses all m onto the
-    // earlier verdict; a repeat across candidates/modes is a memo-cache
-    // lookup (replay_cache_hits) plus m-1 collapsed siblings.
-    {
-      std::unordered_set<std::uint64_t> seen;
-      std::unordered_set<std::uint64_t> candidate_seen;
-      for (std::size_t i = 0; i < refine_count; ++i) {
-        const RefineTrace& trace = traces[i];
-        candidate_seen.clear();
-        const auto account = [&](std::uint64_t fingerprint) {
-          if (!candidate_seen.insert(fingerprint).second) {
-            report.replays_deduped += trace.symmetric;
-            return;
-          }
-          if (seen.insert(fingerprint).second) {
-            ++report.rank_replays_run;
-          } else {
-            ++report.replay_cache_hits;
-          }
-          report.replays_deduped += trace.symmetric - 1;
-        };
-        for (const std::uint64_t fp : trace.resident_fps) account(fp);
-        for (const std::uint64_t fp : trace.replay_fps) account(fp);
-      }
-    }
-
-    // Overlap-window mode: the replayed peaks are the ranking, not an
-    // annotation. Re-sort the refined prefix by the window-replayed
-    // verdicts (same tie chain as phase 1, replayed fields substituted);
-    // the unrefined tail keeps its analytic order behind it. Runs on the
-    // calling thread after the fan-out barrier, so serial and threaded
-    // searches stay byte-identical.
+      return *std::max_element(rank_peaks.begin(), rank_peaks.end());
+    };
+    // Overlap-window mode replays every stage twice — resident first for
+    // the baseline, then with schedule-tied windows — so the report can
+    // state what the windows saved (window_vs_resident_pct).
     if (request.comm_overlap) {
-      const auto key_of = [](const PlanCandidate& c) {
-        return std::make_tuple(c.plan.data_parallel, c.plan.tensor_parallel,
-                               c.plan.pipeline_stages);
-      };
-      std::vector<std::tuple<int, int, int>> before;
-      before.reserve(refine_count);
-      for (std::size_t i = 0; i < refine_count; ++i) {
-        before.push_back(key_of(report.candidates[i]));
-      }
-      std::sort(report.candidates.begin(),
-                report.candidates.begin() +
-                    static_cast<std::ptrdiff_t>(refine_count),
-                [](const PlanCandidate& a, const PlanCandidate& b) {
-                  if (a.replayed_fits_count != b.replayed_fits_count)
-                    return a.replayed_fits_count > b.replayed_fits_count;
-                  if (a.plan.gpus != b.plan.gpus)
-                    return a.plan.gpus < b.plan.gpus;
-                  if (a.replayed_per_rank_peak != b.replayed_per_rank_peak)
-                    return a.replayed_per_rank_peak < b.replayed_per_rank_peak;
-                  if (a.plan.data_parallel != b.plan.data_parallel)
-                    return a.plan.data_parallel < b.plan.data_parallel;
-                  if (a.plan.tensor_parallel != b.plan.tensor_parallel)
-                    return a.plan.tensor_parallel < b.plan.tensor_parallel;
-                  return a.plan.pipeline_stages < b.plan.pipeline_stages;
-                });
-      for (std::size_t i = 0; i < refine_count; ++i) {
-        if (key_of(report.candidates[i]) != before[i]) ++report.rerank_changed;
-      }
+      candidate.window_mode = true;
+      candidate.resident_per_rank_peak = replay_stages(
+          false, candidate.resident_rank_peaks, trace.resident_fps);
     }
-  }
-  report.comm_overlap = request.comm_overlap;
+    candidate.replayed = true;
+    candidate.replayed_per_rank_peak = replay_stages(
+        request.comm_overlap, candidate.replayed_rank_peaks, trace.replay_fps);
+    candidate.window_vs_resident_pct = percent_change(
+        candidate.resident_per_rank_peak, candidate.replayed_per_rank_peak);
+    candidate.analytic_vs_replayed_pct = percent_change(
+        candidate.plan.per_rank_peak, candidate.replayed_per_rank_peak);
+    candidate.replayed_fits_count =
+        judge_fits(candidate.replayed_per_rank_peak, request.devices,
+                   candidate.replayed_device_fits);
+    candidate.verdict_changed =
+        candidate.replayed_device_fits != candidate.device_fits;
+  });
 
-  report.replayed_candidates = counters.replayed_candidates.load();
-  report.profiles_run = counters.profiles_run.load();
-  report.profile_cache_hits = counters.profile_cache_hits.load();
-  report.replays_run = counters.replays_run.load();
-  report.result_cache_hits = counters.result_cache_hits.load();
-  report.wall_seconds = seconds_since(plan_start);
-  return report;
+  // Refinement-cost counters: a deterministic post-pass over the recorded
+  // fingerprints in (candidate, resident-before-window, stage) order — the
+  // schedule the dedup machinery executes, independent of thread
+  // interleaving and of whether dedup actually ran (dedup_replays = false
+  // pays the naive cost but reports the same schedule). Each stage stands
+  // for its d*t symmetric deployment ranks: the first sighting of a
+  // fingerprint is one real replay (rank_replays) and m-1 collapsed
+  // siblings; a repeat within the candidate collapses all m onto the
+  // earlier verdict; a repeat across candidates/modes is a memo-cache
+  // lookup (replay_cache_hits) plus m-1 collapsed siblings.
+  std::unordered_set<std::uint64_t> seen;
+  std::unordered_set<std::uint64_t> candidate_seen;
+  for (const RefineTrace& trace : traces) {
+    candidate_seen.clear();
+    const auto account = [&](std::uint64_t fingerprint) {
+      if (!candidate_seen.insert(fingerprint).second) {
+        report.replays_deduped += trace.symmetric;
+        return;
+      }
+      if (seen.insert(fingerprint).second) {
+        ++report.rank_replays_run;
+      } else {
+        ++report.replay_cache_hits;
+      }
+      report.replays_deduped += trace.symmetric - 1;
+    };
+    for (const std::uint64_t fp : trace.resident_fps) account(fp);
+    for (const std::uint64_t fp : trace.replay_fps) account(fp);
+  }
+}
+
+void EstimationService::rerank(PlanReport& report) {
+  // Overlap-window mode: the replayed peaks are the ranking, not an
+  // annotation. Re-sort the refined prefix by the window-replayed verdicts
+  // (rank_key with the replayed fields); the unrefined tail keeps its
+  // analytic order behind it. Runs on the calling thread after the
+  // fan-out barrier, so serial and threaded searches stay byte-identical.
+  const auto key_of = [](const PlanCandidate& c) {
+    return std::make_tuple(c.plan.data_parallel, c.plan.tensor_parallel,
+                           c.plan.pipeline_stages);
+  };
+  const std::size_t count = report.replayed_candidates;
+  std::vector<std::tuple<int, int, int>> before;
+  before.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    before.push_back(key_of(report.candidates[i]));
+  }
+  sort_best_first(report.candidates, count, /*replayed=*/true);
+  for (std::size_t i = 0; i < count; ++i) {
+    if (key_of(report.candidates[i]) != before[i]) ++report.rerank_changed;
+  }
 }
 
 EstimateEntry EstimationService::estimate(const std::string& estimator_name,

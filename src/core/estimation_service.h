@@ -197,13 +197,15 @@ struct PlanRequest {
   /// EstimateRequest::allocator_config.
   std::map<std::string, alloc::BackendKnobs> allocator_config;
   int profile_iterations = 3;
-  /// Keep only the best N candidates in the report (0 = all).
+  /// Keep only the best N candidates in the report (0 = all). The cap
+  /// trims the report after refinement and re-rank; it never limits which
+  /// candidates replay (refine_top_k / "all" count over the full ranking).
   std::size_t max_candidates = 0;
   /// Phase-2 refinement: re-simulate the top K ranked candidates per rank
   /// through the allocator tower (rank-sequence transform + simulator
   /// replay), yielding fragmentation-aware peaks and refined verdicts.
   /// 0 = analytic-only (the phase-1 ranking stands unrefined). Defaults to
-  /// 4 since the reset-based replay path costs ~0.93 ms/candidate
+  /// 4 since the reset-based replay path costs ~0.64 ms/candidate
   /// (docs/PLANNER.md); `xmem plan --no-refine` forces 0.
   int refine_top_k = 4;
   /// Full-search refinement: replay EVERY ranked decomposition, ignoring
@@ -365,7 +367,10 @@ class EstimationService {
   /// cheap analytic arithmetic and ranks the survivors; phase 2 (when
   /// `refine_top_k > 0`) replays the top-K candidates' per-rank sequences
   /// through the allocator tower via the rank-sequence transform layer,
-  /// yielding fragmentation-aware rank peaks and refined verdicts. The
+  /// yielding fragmentation-aware rank peaks and refined verdicts. Phases,
+  /// in order: validate, baseline (run_entries), lookup_profile, rank_grid,
+  /// refine, rerank (comm_overlap only), the max_candidates cap (which
+  /// trims the report only, after refine and re-rank), counters. The
   /// single-device entries, the whole grid, and every rank replay share
   /// ONE profile through the session (profiles_run == 1 cold); both phases
   /// fan out on the pool. Deterministic: serial and threaded searches
@@ -398,15 +403,38 @@ class EstimationService {
   };
   struct SweepCounters;
 
+  /// Throws std::invalid_argument, prefixed with `context`, on no devices
+  /// or an unknown model, allocator, allocator knob, or estimator.
+  static void validate(const std::string& context,
+                       const EstimateRequest& request);
+  /// The sweep fan-out: every (estimator, device, allocator) entry of an
+  /// already-normalized request, in request order.
+  std::vector<EstimateEntry> run_entries(const EstimateRequest& request,
+                                         SweepCounters& counters);
   EstimateEntry run_entry(const EstimateRequest& request,
                           const EntrySpec& spec, SweepCounters& counters);
+  /// The session lookup for a job's profile, counted as a hit or a run.
+  ProfileSession::Lookup lookup_profile(const TrainJob& job, bool orchestrate,
+                                        int profile_iterations,
+                                        const std::string& tenant,
+                                        SweepCounters& counters);
+  /// plan() phases after the baseline and profile lookup, in order.
+  /// rank_grid: every (d, t, p) of the budget, analytic, sorted best-first.
+  void rank_grid(const PlanRequest& request,
+                 const std::vector<ComponentProfile>& profiles,
+                 PlanReport& report);
+  /// refine: replay the top refine_top_k (or all) per rank; sets
+  /// replayed_candidates and the fingerprint counters.
+  void refine(const PlanRequest& request, const OrchestratedSequence& sequence,
+              const std::vector<ComponentProfile>& profiles,
+              PlanReport& report);
+  /// rerank (comm_overlap): re-sort the refined prefix by replayed peaks.
+  static void rerank(PlanReport& report);
   /// Run task(0..count-1) on the pool (or inline when serial), waiting for
   /// every task before rethrowing the first failure — a worker still
   /// running must never observe shared state mid-unwind.
   void run_fanned(std::size_t count,
                   const std::function<void(std::size_t)>& task);
-  ProfileKey profile_key_for(const TrainJob& job, bool orchestrate,
-                             int profile_iterations) const;
   Estimator& estimator_instance(const std::string& name);
 
   bool result_cache_get(const std::string& key, EstimateEntry& out);

@@ -7,7 +7,11 @@ std::string Path::str() const {
                      : parent->parent == nullptr ? parent->str() + " "
                                                  : parent->str() + ".";
   text += name;
-  if (index != kNoIndex) text += "[" + std::to_string(index) + "]";
+  if (index != kNoIndex) {
+    text += '[';
+    text += std::to_string(index);
+    text += ']';
+  }
   return text;
 }
 

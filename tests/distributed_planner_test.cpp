@@ -518,6 +518,48 @@ TEST(PlanRefine, SerialAndThreadedRefinesAreByteIdentical) {
   EXPECT_EQ(a.replayed_candidates, 4u);
   EXPECT_EQ(a.profiles_run, 1u);
   EXPECT_EQ(b.profiles_run, 1u);
+
+  // Full-search overlap-window refinement under a report cap: the re-rank
+  // and the cap both run on the calling thread after the fan-out.
+  request.comm_overlap = true;
+  request.refine_all = true;
+  request.max_candidates = 3;
+  EXPECT_EQ(serial.plan(request).to_json(/*include_timings=*/false).dump(2),
+            threaded.plan(request).to_json(/*include_timings=*/false).dump(2));
+}
+
+TEST(PlanRefine, MaxCandidatesCapsAfterRefineAndRerank) {
+  // The cap trims the report, never the search: under refine_all every
+  // decomposition replays, and the window re-rank may promote a split from
+  // anywhere in the analytic order, so the capped report must be exactly
+  // the uncapped report's head.
+  std::ifstream in(std::string(XMEM_FIXTURE_DIR) +
+                   "/plan_request_overlap.json");
+  ASSERT_TRUE(in) << "missing ci/fixtures/plan_request_overlap.json";
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  core::PlanRequest request =
+      core::PlanRequest::from_json(util::Json::parse(buffer.str()));
+  request.refine_all = true;
+  request.max_candidates = 6;
+  core::EstimationService service;
+  const util::Json capped =
+      service.plan(request).to_json(/*include_timings=*/false);
+  request.max_candidates = 0;
+  const util::Json uncapped =
+      service.plan(request).to_json(/*include_timings=*/false);
+
+  const util::Json& counters = capped.at("stage_counters");
+  EXPECT_EQ(capped.at("candidates_evaluated").as_int(), 38);
+  EXPECT_EQ(counters.at("replayed_candidates").as_int(),
+            capped.at("candidates_evaluated").as_int());
+  ASSERT_EQ(capped.at("candidates").size(), 6u);
+  ASSERT_GT(uncapped.at("candidates").size(), 6u);
+  for (std::size_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(capped.at("candidates")[i].dump(2),
+              uncapped.at("candidates")[i].dump(2))
+        << "candidate " << i;
+  }
 }
 
 TEST(PlanRefine, ReplayedVerdictCanDifferFromTheAnalyticOne) {

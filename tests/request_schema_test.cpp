@@ -203,7 +203,10 @@ TEST(RequestSchema, EveryFieldIsDocumented) {
   ASSERT_NE(section, std::string::npos) << "docs/API.md lost its section";
   for (const Table& table : all_tables()) {
     for (const util::schema::FieldInfo& field : table.fields) {
-      EXPECT_NE(docs.find("`" + std::string(field.name) + "`", section),
+      std::string quoted = "`";
+      quoted += field.name;
+      quoted += '`';
+      EXPECT_NE(docs.find(quoted, section),
                 std::string::npos)
           << table.name << " field " << field.name
           << " is missing from docs/API.md \"Request fields\"";

@@ -42,7 +42,8 @@
 # its requests/sec and latency numbers are normalized to <runtime>. The
 # registry churn smoke runs micro_allocator's BM_RegistryChurn briefly so
 # the shared allocator core sees a large unbounded live set on every
-# backend.
+# backend; the trace codec smoke runs micro_pipeline's trace JSON write and
+# parse benches and one end-to-end estimate the same way.
 set -euo pipefail
 
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -264,6 +265,40 @@ if [[ -x "${micro_allocator}" ]]; then
   rm -f "${churn_actual}"
 else
   echo "registry churn smoke skipped (micro_allocator not built)"
+fi
+
+# --- trace codec smoke -----------------------------------------------------
+# The one-pass trace JSON writer and reader under micro_pipeline's codec
+# benches plus one end-to-end estimate (profile, JSON round trip, Analyzer,
+# Orchestrator, replay). The smoke requires a clean exit and a result line
+# per bench; timings are not checked. Skipped when google-benchmark is
+# unavailable (micro_pipeline is not built then).
+
+micro_pipeline="${BUILD_DIR}/bench/micro_pipeline"
+if [[ -x "${micro_pipeline}" ]]; then
+  codec_actual="$(mktemp)"
+  codec_failed=0
+  if ! "${micro_pipeline}" \
+      --benchmark_filter='BM_Trace(To|From)Json|BM_EndToEndEstimate' \
+      --benchmark_min_time=0.01 > "${codec_actual}" 2>&1; then
+    echo "TRACE CODEC SMOKE: micro_pipeline exited nonzero" >&2
+    cat "${codec_actual}" >&2
+    codec_failed=1
+  fi
+  for bench in BM_TraceToJson BM_TraceFromJson BM_EndToEndEstimate; do
+    if ! grep -q "^${bench}" "${codec_actual}"; then
+      echo "TRACE CODEC SMOKE: no result for ${bench}" >&2
+      codec_failed=1
+    fi
+  done
+  if [[ "${codec_failed}" == "0" ]]; then
+    echo "trace codec smoke ok"
+  else
+    GOLDEN_FAILED=1
+  fi
+  rm -f "${codec_actual}"
+else
+  echo "trace codec smoke skipped (micro_pipeline not built)"
 fi
 
 # --- xmem fleet smoke ------------------------------------------------------

@@ -15,10 +15,31 @@
 // JSON ({"schemaVersion":1, "traceEvents":[...]}); the xMem Analyzer
 // consumes the JSON form, exactly as the paper's tool consumes profiler
 // output files.
+//
+// The codec is one pass each way. The writer appends into one string, keys
+// in byte order, with no DOM. The reader pulls events off util::JsonCursor
+// (the same lexer as util::Json::parse) and:
+//   accepts  any key order; unknown keys at any level (syntax-checked, then
+//            skipped); duplicate keys (the last one wins); "Python id" when
+//            "Ev Idx" is absent and "Parent id" when "Python parent id" is;
+//            a non-number where a number belongs, or a non-string where a
+//            string belongs, reads as the field's default; fractional
+//            numbers truncate toward zero (PyTorch writes fractional "ts");
+//            a document without traceMeta reads as schema version 0;
+//   rejects  malformed JSON, including truncation, trailing characters and
+//            nesting deeper than util::Json::kMaxDepth (util::JsonParseError,
+//            thrown before any of the errors below); a document that is
+//            not an object or has no "traceEvents"; a "traceEvents" that is
+//            not an array; an xmem_schema_version outside [0, kSchemaVersion];
+//            an event whose "cat" is not one of the four categories; a
+//            number outside int64, or outside int for batch_size,
+//            iterations and "Device Id" (all std::runtime_error; a range
+//            error names its field).
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/json.h"
@@ -92,18 +113,16 @@ struct Trace {
   void add(TraceEvent event) { events.push_back(std::move(event)); }
   std::size_t size() const { return events.size(); }
 
-  /// Serialize to PyTorch-Profiler-style Chrome-trace JSON.
-  util::Json to_json() const;
-  /// Parse a trace back from JSON; throws util::JsonParseError /
-  /// std::runtime_error on malformed documents.
-  static Trace from_json(const util::Json& doc);
+  /// Serialize to PyTorch-Profiler-style Chrome-trace JSON text.
+  /// `indent < 0` => compact single-line output.
+  std::string to_json_string(int indent = -1) const;
+  /// Parse a trace back from JSON text; throws util::JsonParseError /
+  /// std::runtime_error on malformed documents (see the header comment).
+  static Trace from_json_string(std::string_view text);
 
-  std::string to_json_string(int indent = -1) const {
-    return to_json().dump(indent);
-  }
-  static Trace from_json_string(std::string_view text) {
-    return from_json(util::Json::parse(text));
-  }
+  /// The same codec through a util::Json document.
+  util::Json to_json() const;
+  static Trace from_json(const util::Json& doc);
 
   /// Write/read the JSON form to disk — the file-based handoff between the
   /// profiling host and the estimator the paper's deployment uses. save()

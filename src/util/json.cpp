@@ -2,8 +2,9 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+
+#include "util/json_cursor.h"
 
 namespace xmem::util {
 
@@ -53,9 +54,7 @@ std::size_t Json::size() const {
   return 0;
 }
 
-namespace {
-
-void append_escaped(std::string& out, const std::string& s) {
+void append_json_string(std::string& out, std::string_view s) {
   out.push_back('"');
   for (unsigned char c : s) {
     switch (c) {
@@ -78,6 +77,8 @@ void append_escaped(std::string& out, const std::string& s) {
   }
   out.push_back('"');
 }
+
+namespace {
 
 void append_double(std::string& out, double v) {
   if (!std::isfinite(v)) {
@@ -108,7 +109,7 @@ void dump_impl(const Json& v, std::string& out, int indent, int depth) {
     case Json::Type::Bool: out += v.as_bool() ? "true" : "false"; break;
     case Json::Type::Int: out += std::to_string(v.as_int()); break;
     case Json::Type::Double: append_double(out, v.as_double()); break;
-    case Json::Type::String: append_escaped(out, v.as_string()); break;
+    case Json::Type::String: append_json_string(out, v.as_string()); break;
     case Json::Type::Array: {
       const auto& arr = v.as_array();
       if (arr.empty()) {
@@ -148,7 +149,7 @@ void dump_impl(const Json& v, std::string& out, int indent, int depth) {
           out.push_back('\n');
           out += pad;
         }
-        append_escaped(out, key);
+        append_json_string(out, key);
         out.push_back(':');
         if (pretty) out.push_back(' ');
         dump_impl(value, out, indent, depth + 1);
@@ -163,253 +164,35 @@ void dump_impl(const Json& v, std::string& out, int indent, int depth) {
   }
 }
 
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  Json parse_document() {
-    Json v = parse_value();
-    skip_whitespace();
-    if (pos_ != text_.size()) {
-      throw JsonParseError("trailing characters after JSON document", pos_);
-    }
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& message) const {
-    throw JsonParseError(message, pos_);
-  }
-
-  char peek() const {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  char advance() {
-    const char c = peek();
-    ++pos_;
-    return c;
-  }
-
-  bool consume(char expected) {
-    if (pos_ < text_.size() && text_[pos_] == expected) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  void expect(char expected, const char* what) {
-    if (!consume(expected)) fail(std::string("expected ") + what);
-  }
-
-  void skip_whitespace() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
-        ++pos_;
-      } else {
-        break;
+Json parse_value(JsonCursor& in) {
+  switch (in.peek()) {
+    case JsonToken::kObject: {
+      in.begin_object();
+      JsonObject obj;
+      std::string_view key;
+      while (in.next_member(key)) {
+        std::string name(key);  // the value's strings reuse the key buffer
+        obj[std::move(name)] = parse_value(in);
       }
+      return Json(std::move(obj));
     }
+    case JsonToken::kArray: {
+      in.begin_array();
+      JsonArray arr;
+      while (in.next_element()) arr.push_back(parse_value(in));
+      return Json(std::move(arr));
+    }
+    case JsonToken::kString: return Json(std::string(in.read_string()));
+    case JsonToken::kNumber: {
+      const JsonNumber number = in.read_number();
+      return number.is_int ? Json(number.int_value) : Json(number.double_value);
+    }
+    case JsonToken::kTrue: in.read_literal(); return Json(true);
+    case JsonToken::kFalse: in.read_literal(); return Json(false);
+    case JsonToken::kNull: in.read_literal(); return Json(nullptr);
   }
-
-  Json parse_value() {
-    skip_whitespace();
-    const char c = peek();
-    switch (c) {
-      case '{': return nested(&Parser::parse_object);
-      case '[': return nested(&Parser::parse_array);
-      case '"': return Json(parse_string());
-      case 't': return parse_literal("true", Json(true));
-      case 'f': return parse_literal("false", Json(false));
-      case 'n': return parse_literal("null", Json(nullptr));
-      default: return parse_number();
-    }
-  }
-
-  Json nested(Json (Parser::*parse_container)()) {
-    if (++depth_ > Json::kMaxDepth) {
-      fail("nesting deeper than " + std::to_string(Json::kMaxDepth) +
-           " levels");
-    }
-    Json value = (this->*parse_container)();
-    --depth_;
-    return value;
-  }
-
-  Json parse_literal(std::string_view literal, Json value) {
-    if (text_.substr(pos_, literal.size()) != literal) {
-      fail("invalid literal");
-    }
-    pos_ += literal.size();
-    return value;
-  }
-
-  Json parse_object() {
-    expect('{', "'{'");
-    JsonObject obj;
-    skip_whitespace();
-    if (consume('}')) return Json(std::move(obj));
-    while (true) {
-      skip_whitespace();
-      if (peek() != '"') fail("expected object key");
-      std::string key = parse_string();
-      skip_whitespace();
-      expect(':', "':'");
-      obj[std::move(key)] = parse_value();
-      skip_whitespace();
-      if (consume(',')) continue;
-      expect('}', "'}' or ','");
-      break;
-    }
-    return Json(std::move(obj));
-  }
-
-  Json parse_array() {
-    expect('[', "'['");
-    JsonArray arr;
-    skip_whitespace();
-    if (consume(']')) return Json(std::move(arr));
-    while (true) {
-      arr.push_back(parse_value());
-      skip_whitespace();
-      if (consume(',')) continue;
-      expect(']', "']' or ','");
-      break;
-    }
-    return Json(std::move(arr));
-  }
-
-  std::string parse_string() {
-    expect('"', "'\"'");
-    std::string out;
-    while (true) {
-      const char c = advance();
-      if (c == '"') break;
-      if (c == '\\') {
-        const char esc = advance();
-        switch (esc) {
-          case '"': out.push_back('"'); break;
-          case '\\': out.push_back('\\'); break;
-          case '/': out.push_back('/'); break;
-          case 'b': out.push_back('\b'); break;
-          case 'f': out.push_back('\f'); break;
-          case 'n': out.push_back('\n'); break;
-          case 'r': out.push_back('\r'); break;
-          case 't': out.push_back('\t'); break;
-          case 'u': {
-            unsigned code = parse_hex4();
-            if (code >= 0xD800 && code <= 0xDBFF) {
-              // Surrogate pair.
-              if (!consume('\\') || !consume('u')) {
-                fail("unpaired UTF-16 surrogate");
-              }
-              const unsigned low = parse_hex4();
-              if (low < 0xDC00 || low > 0xDFFF) {
-                fail("invalid low surrogate");
-              }
-              code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-            }
-            append_utf8(out, code);
-            break;
-          }
-          default: fail("invalid escape sequence");
-        }
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        fail("unescaped control character in string");
-      } else {
-        out.push_back(c);
-      }
-    }
-    return out;
-  }
-
-  unsigned parse_hex4() {
-    unsigned value = 0;
-    for (int i = 0; i < 4; ++i) {
-      const char c = advance();
-      value <<= 4;
-      if (c >= '0' && c <= '9') {
-        value |= static_cast<unsigned>(c - '0');
-      } else if (c >= 'a' && c <= 'f') {
-        value |= static_cast<unsigned>(c - 'a' + 10);
-      } else if (c >= 'A' && c <= 'F') {
-        value |= static_cast<unsigned>(c - 'A' + 10);
-      } else {
-        fail("invalid \\u escape");
-      }
-    }
-    return value;
-  }
-
-  static void append_utf8(std::string& out, unsigned code) {
-    if (code < 0x80) {
-      out.push_back(static_cast<char>(code));
-    } else if (code < 0x800) {
-      out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-      out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-    } else if (code < 0x10000) {
-      out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-      out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-      out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-    } else {
-      out.push_back(static_cast<char>(0xF0 | (code >> 18)));
-      out.push_back(static_cast<char>(0x80 | ((code >> 12) & 0x3F)));
-      out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-      out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-    }
-  }
-
-  Json parse_number() {
-    const std::size_t start = pos_;
-    if (consume('-')) {
-      // sign consumed
-    }
-    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-      ++pos_;
-    }
-    bool is_floating = false;
-    if (consume('.')) {
-      is_floating = true;
-      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-        ++pos_;
-      }
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      is_floating = true;
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
-        ++pos_;
-      }
-      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-        ++pos_;
-      }
-    }
-    if (pos_ == start || (pos_ == start + 1 && text_[start] == '-')) {
-      fail("invalid number");
-    }
-    const std::string token(text_.substr(start, pos_ - start));
-    if (!is_floating) {
-      errno = 0;
-      char* end = nullptr;
-      const long long v = std::strtoll(token.c_str(), &end, 10);
-      if (errno == 0 && end == token.c_str() + token.size()) {
-        return Json(static_cast<std::int64_t>(v));
-      }
-      // Falls through to double for out-of-range integers.
-    }
-    char* end = nullptr;
-    const double d = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) fail("invalid number");
-    return Json(d);
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  int depth_ = 0;
-};
+  return Json();
+}
 
 }  // namespace
 
@@ -419,6 +202,11 @@ std::string Json::dump(int indent) const {
   return out;
 }
 
-Json Json::parse(std::string_view text) { return Parser(text).parse_document(); }
+Json Json::parse(std::string_view text) {
+  JsonCursor in(text);
+  Json value = parse_value(in);
+  in.finish();
+  return value;
+}
 
 }  // namespace xmem::util

@@ -1,10 +1,11 @@
 // Minimal, dependency-free JSON value / parser / writer.
 //
-// The profiler emits PyTorch-Profiler-style JSON traces and the Analyzer
-// consumes them, so this module is on the critical path of the xMem
-// pipeline (and is exercised heavily by tests). It supports the full JSON
-// grammar except for exotic numbers (NaN/Inf are not valid JSON and are
-// rejected on write); integers that fit in int64 are preserved exactly.
+// Requests, reports and server frames go through this DOM. Profiler traces
+// are written and read without it (trace/trace.cpp), but parse() and the
+// trace reader share one lexer, util::JsonCursor (json_cursor.h). It
+// supports the full JSON grammar except for exotic numbers (NaN/Inf are
+// not valid JSON and are rejected on write); integers that fit in int64 are
+// preserved exactly.
 #pragma once
 
 #include <cstdint>
@@ -115,5 +116,9 @@ class Json {
                JsonArray, JsonObject>
       value_;
 };
+
+/// Append `s` as a quoted JSON string literal, escaping quotes, backslashes
+/// and control characters; bytes >= 0x80 pass through unchanged.
+void append_json_string(std::string& out, std::string_view s);
 
 }  // namespace xmem::util

@@ -109,6 +109,15 @@ TEST(Trace, MalformedDocumentsThrow) {
   EXPECT_THROW(Trace::from_json_string("{}"), std::runtime_error);
   EXPECT_THROW(Trace::from_json_string("[1,2]"), std::runtime_error);
   EXPECT_THROW(Trace::from_json_string("not json"), util::JsonParseError);
+  // A traceEvents that is not an array is a runtime_error naming it.
+  try {
+    Trace::from_json_string(R"({"traceEvents": 5})");
+    ADD_FAILURE() << "a non-array traceEvents was accepted";
+  } catch (const util::JsonParseError& e) {
+    ADD_FAILURE() << "not a parse error: " << e.what();
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("traceEvents"), std::string::npos);
+  }
   // Unknown category.
   EXPECT_THROW(
       Trace::from_json_string(

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "util/json_cursor.h"
 #include "util/rng.h"
 
 namespace xmem::util {
@@ -158,6 +159,56 @@ Json random_json(Rng& rng, int depth) {
       return obj;
     }
   }
+}
+
+TEST(JsonCursor, WalksADocumentWithoutADom) {
+  const std::string text = R"( {"a": [1, -2.5, "x"], "b\u0021": {"c": null}} )";
+  JsonCursor in(text);
+  ASSERT_EQ(in.peek(), JsonToken::kObject);
+  in.begin_object();
+  std::string_view key;
+  ASSERT_TRUE(in.next_member(key));
+  EXPECT_EQ(key, "a");
+  in.begin_array();
+  ASSERT_TRUE(in.next_element());
+  const JsonNumber one = in.read_number();
+  EXPECT_TRUE(one.is_int);
+  EXPECT_EQ(one.int_value, 1);
+  ASSERT_TRUE(in.next_element());
+  const JsonNumber fraction = in.read_number();
+  EXPECT_FALSE(fraction.is_int);
+  EXPECT_DOUBLE_EQ(fraction.double_value, -2.5);
+  ASSERT_TRUE(in.next_element());
+  const std::string_view x = in.read_string();
+  EXPECT_EQ(x, "x");
+  // An unescaped string is a view into the document itself.
+  EXPECT_GE(x.data(), text.data());
+  EXPECT_LT(x.data(), text.data() + text.size());
+  EXPECT_FALSE(in.next_element());
+  ASSERT_TRUE(in.next_member(key));
+  EXPECT_EQ(key, "b!");  // decoded into the cursor's buffer
+  in.skip_value();
+  EXPECT_FALSE(in.next_member(key));
+  in.finish();
+}
+
+TEST(JsonCursor, IntegersBeyondInt64BecomeDoubles) {
+  JsonCursor in("99999999999999999999");
+  const JsonNumber n = in.read_number();
+  EXPECT_FALSE(n.is_int);
+  EXPECT_DOUBLE_EQ(n.double_value, 1e20);
+}
+
+TEST(JsonCursor, SkipValueChecksSyntaxAndDepth) {
+  JsonCursor bad_escape(R"(["ok", {"k": "\q"}])");
+  EXPECT_THROW(bad_escape.skip_value(), JsonParseError);
+  const std::string too_deep = std::string(Json::kMaxDepth + 1, '[') +
+                               std::string(Json::kMaxDepth + 1, ']');
+  JsonCursor deep(too_deep);  // the cursor views the text, never copies it
+  EXPECT_THROW(deep.skip_value(), JsonParseError);
+  JsonCursor trailing("{} x");
+  trailing.skip_value();
+  EXPECT_THROW(trailing.finish(), JsonParseError);
 }
 
 class JsonRoundTripProperty : public ::testing::TestWithParam<std::uint64_t> {};

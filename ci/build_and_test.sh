@@ -336,6 +336,28 @@ else
 fi
 rm -f "${fleet_actual}"
 
+# --- xmem fleet split smoke ------------------------------------------------
+# The multi-GPU fallback byte for byte: max_gpus_per_job 4 and no what-if
+# pools. One job is admitted with a d,t,p split across a pool, one is
+# deferred and one rejected after the fallback searched its plans.
+
+split_golden="${FIXTURE_DIR}/fleet_report_split.json"
+split_actual="$(mktemp)"
+"${BUILD_DIR}/src/xmem_cli" fleet "${FIXTURE_DIR}/fleet_request_split.json" \
+  --no-timings > "${split_actual}"
+if [[ "${UPDATE_GOLDENS}" == "1" ]]; then
+  cp "${split_actual}" "${split_golden}"
+  echo "updated ${split_golden}"
+elif ! diff -u "${split_golden}" "${split_actual}" > /dev/null; then
+  echo "FLEET SPLIT SMOKE MISMATCH: multi-GPU fallback placements changed" >&2
+  diff -u "${split_golden}" "${split_actual}" >&2 || true
+  echo "If intentional, regenerate: ci/build_and_test.sh --update-goldens" >&2
+  GOLDEN_FAILED=1
+else
+  echo "fleet split smoke ok"
+fi
+rm -f "${split_actual}"
+
 # --- negative smoke: malformed requests must exit nonzero ------------------
 
 for bad in "${FIXTURE_DIR}"/bad_*.json; do

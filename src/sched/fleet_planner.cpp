@@ -15,12 +15,6 @@ namespace xmem::sched {
 
 namespace {
 
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
 /// Queue-level archetype identity: two jobs with the same label + seed
 /// share one CPU profile (and one planner cache entry).
 std::string job_key(const core::TrainJob& job) {
@@ -216,18 +210,17 @@ util::Json FleetStats::to_json() const {
 }
 
 util::Json FleetCounters::to_json() const {
+  const auto count = [](std::size_t n) {
+    return util::Json(static_cast<std::int64_t>(n));
+  };
   util::Json json = util::Json::object();
-  json["profiles_run"] = util::Json(static_cast<std::int64_t>(profiles_run));
-  json["profile_cache_hits"] =
-      util::Json(static_cast<std::int64_t>(profile_cache_hits));
-  json["replays_run"] = util::Json(static_cast<std::int64_t>(replays_run));
-  json["result_cache_hits"] =
-      util::Json(static_cast<std::int64_t>(result_cache_hits));
-  json["plans_run"] = util::Json(static_cast<std::int64_t>(plans_run));
-  json["estimates_reused"] =
-      util::Json(static_cast<std::int64_t>(estimates_reused));
-  json["pools_repacked"] =
-      util::Json(static_cast<std::int64_t>(pools_repacked));
+  json["profiles_run"] = count(profiles_run);
+  json["profile_cache_hits"] = count(profile_cache_hits);
+  json["replays_run"] = count(replays_run);
+  json["result_cache_hits"] = count(result_cache_hits);
+  json["plans_run"] = count(plans_run);
+  json["estimates_reused"] = count(estimates_reused);
+  json["pools_repacked"] = count(pools_repacked);
   return json;
 }
 
@@ -288,9 +281,14 @@ struct PlanCandidateLite {
 struct Archetype {
   bool supported = true;
   std::map<std::string, std::int64_t> peak_by_device;
-  /// Plan-fallback candidates keyed by the request's max_gpus_per_job.
-  std::map<int, std::vector<PlanCandidateLite>> plans;
+  /// Plan-fallback candidates keyed by Fleet::plan_key: the GPU budget and
+  /// the devices planned against.
+  std::map<std::string, std::vector<PlanCandidateLite>> plans;
 };
+
+/// One archetype per queue entry, parallel to FleetRequest::jobs. They point
+/// into the archetype cache, whose std::map nodes never move.
+using Archetypes = std::vector<Archetype*>;
 
 struct PackResult {
   std::vector<SlotState> slots;
@@ -298,6 +296,53 @@ struct PackResult {
   std::vector<JobVerdict> verdicts;          ///< parallel to request.jobs
   FleetStats stats;
 };
+
+/// Each distinct device of `pools` once, in pool order — the order that
+/// breaks ties between equally cheap devices.
+std::vector<const gpu::DeviceModel*> distinct_devices(
+    const std::vector<GpuPool>& pools) {
+  std::vector<const gpu::DeviceModel*> devices;
+  std::set<std::string> seen;
+  for (const GpuPool& gpu_pool : pools) {
+    if (seen.insert(gpu_pool.device.name).second) {
+      devices.push_back(&gpu_pool.device);
+    }
+  }
+  return devices;
+}
+
+/// The distinct devices of `pools` sorted by name, as sweeps and plans get
+/// them.
+std::vector<gpu::DeviceModel> sorted_devices(
+    const std::vector<GpuPool>& pools) {
+  std::vector<gpu::DeviceModel> devices;
+  for (const gpu::DeviceModel* device : distinct_devices(pools)) {
+    devices.push_back(*device);
+  }
+  std::sort(devices.begin(), devices.end(),
+            [](const gpu::DeviceModel& a, const gpu::DeviceModel& b) {
+              return a.name < b.name;
+            });
+  return devices;
+}
+
+/// Adds the estimation work of a sweep or plan report to `counters`.
+template <typename Report>
+void add_work(FleetCounters& counters, const Report& report) {
+  counters.profiles_run += report.profiles_run;
+  counters.profile_cache_hits += report.profile_cache_hits;
+  counters.replays_run += report.replays_run;
+  counters.result_cache_hits += report.result_cache_hits;
+}
+
+/// Whether a job demanding `demand` bytes fits an empty GPU of pool `p`.
+bool fits_empty(const PackingPolicy& policy, std::size_t p,
+                const GpuPool& gpu_pool, std::int64_t demand) {
+  SlotState empty;
+  empty.pool = p;
+  empty.budget = gpu_pool.device.job_budget();
+  return policy.commit_bytes(demand, empty) <= empty.budget;
+}
 
 }  // namespace
 
@@ -307,13 +352,27 @@ struct FleetPlanner::Impl {
   std::unique_ptr<util::ThreadPool> pool;  ///< null when serial
 
   /// Archetype cache, keyed by estimation scope + job identity. Shared by
-  /// pack/apply/what_if — the what-if second pack costs zero profiles.
+  /// pack/apply — the what-if second pack costs zero profiles.
   std::map<std::string, Archetype> cache;
 
+  /// The last pack's queue (ids materialized), archetypes and result. Only
+  /// the report phase writes them, so an entry point that throws earlier
+  /// leaves the planner as it was.
   bool has_state = false;
-  FleetRequest state_request;  ///< jobs hold materialized unique ids
+  FleetRequest state_request;
+  Archetypes state_archetypes;
   PackResult state_result;
   std::size_t next_auto_id = 0;
+
+  /// The pools one pack places onto, and what placing needs to know of them.
+  struct Fleet {
+    const FleetRequest& request;
+    const std::vector<GpuPool>& pools;
+    std::unique_ptr<PackingPolicy> policy;
+    std::vector<std::size_t> starts;  ///< first slot of each pool
+    std::vector<const gpu::DeviceModel*> devices;  ///< distinct, pool order
+    std::string plan_key;  ///< max_gpus_per_job + the devices' names
+  };
 
   Impl(core::EstimationService& service_in, FleetPlannerOptions options_in)
       : service(service_in), options(options_in) {
@@ -333,19 +392,14 @@ struct FleetPlanner::Impl {
            (request.refine_all ? "|ra1" : "|ra0");
   }
 
-  static std::string archetype_key(const FleetRequest& request,
-                                   const core::TrainJob& job) {
-    return request_scope(request) + "|" + job_key(job);
-  }
-
-  void materialize_ids(FleetRequest& request) const {
-    for (std::size_t i = 0; i < request.jobs.size(); ++i) {
-      if (request.jobs[i].id.empty()) {
-        request.jobs[i].id = "job-" + std::to_string(i);
-      }
+  void require_state() const {
+    if (!has_state) {
+      throw std::logic_error("FleetPlanner::apply before pack()");
     }
   }
 
+  /// Phase validate: the checks the request schema makes, for C++ callers
+  /// that build requests without it.
   static void validate(const FleetRequest& request) {
     if (request.jobs.empty()) {
       throw std::invalid_argument(
@@ -416,49 +470,34 @@ struct FleetPlanner::Impl {
     }
   }
 
-  /// Distinct device models across the given pool lists, sorted by name.
-  static std::vector<gpu::DeviceModel> distinct_devices(
-      const std::vector<const std::vector<GpuPool>*>& pool_lists) {
-    std::map<std::string, gpu::DeviceModel> by_name;
-    for (const std::vector<GpuPool>* pools : pool_lists) {
-      for (const GpuPool& gpu_pool : *pools) {
-        by_name.emplace(gpu_pool.device.name, gpu_pool.device);
-      }
-    }
-    std::vector<gpu::DeviceModel> devices;
-    devices.reserve(by_name.size());
-    for (const auto& [name, device] : by_name) devices.push_back(device);
-    return devices;
-  }
-
-  /// Compute per-device peaks for every archetype in the queue that the
-  /// cache does not already cover, fanning the sweeps on the pool. One
-  /// sweep (== one CPU profile, cold) per fresh archetype.
-  void ensure_archetypes(const FleetRequest& request,
-                         const std::vector<gpu::DeviceModel>& devices,
-                         FleetCounters& counters) {
+  /// Phase resolve: the archetype of every job, with per-device peaks on
+  /// every device of `pools`. One sweep (== one CPU profile, cold) per
+  /// archetype the cache does not cover, fanned out on the thread pool.
+  Archetypes resolve(const FleetRequest& request,
+                     const std::vector<GpuPool>& pools,
+                     FleetCounters& counters) {
     struct Need {
-      std::string key;
+      Archetype* archetype;
       core::TrainJob job;
       std::vector<gpu::DeviceModel> missing;
     };
+    const std::string scope = request_scope(request) + "|";
+    const std::vector<gpu::DeviceModel> devices = sorted_devices(pools);
+    Archetypes archetypes;
+    archetypes.reserve(request.jobs.size());
     std::vector<Need> needs;
-    std::set<std::string> seen;
+    std::set<const Archetype*> seen;
     for (const FleetJob& fleet_job : request.jobs) {
-      const std::string key = archetype_key(request, fleet_job.job);
-      if (!seen.insert(key).second) continue;
-      std::vector<gpu::DeviceModel> missing;
-      const auto it = cache.find(key);
-      if (it == cache.end()) {
-        missing = devices;
-      } else {
-        for (const gpu::DeviceModel& device : devices) {
-          if (it->second.peak_by_device.count(device.name) == 0) {
-            missing.push_back(device);
-          }
+      Archetype& archetype = cache[scope + job_key(fleet_job.job)];
+      archetypes.push_back(&archetype);
+      if (!seen.insert(&archetype).second) continue;
+      Need need{&archetype, fleet_job.job, {}};
+      for (const gpu::DeviceModel& device : devices) {
+        if (archetype.peak_by_device.count(device.name) == 0) {
+          need.missing.push_back(device);
         }
       }
-      if (!missing.empty()) needs.push_back({key, fleet_job.job, missing});
+      if (!need.missing.empty()) needs.push_back(std::move(need));
     }
     counters.estimates_reused += request.jobs.size() - needs.size();
 
@@ -483,6 +522,8 @@ struct FleetPlanner::Impl {
           return run_one(need);
         }));
       }
+      // Every task reads this frame: let all finish before one rethrows.
+      for (const auto& future : futures) future.wait();
       for (std::size_t i = 0; i < futures.size(); ++i) {
         reports[i] = futures[i].get();
       }
@@ -494,31 +535,46 @@ struct FleetPlanner::Impl {
 
     // Merge in need order so counter totals are thread-count-independent.
     for (std::size_t i = 0; i < needs.size(); ++i) {
-      Archetype& archetype = cache[needs[i].key];
       for (const core::EstimateEntry& entry : reports[i].entries) {
-        if (!entry.supported) archetype.supported = false;
-        archetype.peak_by_device[entry.device] = entry.estimated_peak;
+        if (!entry.supported) needs[i].archetype->supported = false;
+        needs[i].archetype->peak_by_device[entry.device] = entry.estimated_peak;
       }
-      counters.profiles_run += reports[i].profiles_run;
-      counters.profile_cache_hits += reports[i].profile_cache_hits;
-      counters.replays_run += reports[i].replays_run;
-      counters.result_cache_hits += reports[i].result_cache_hits;
+      add_work(counters, reports[i]);
     }
+    return archetypes;
   }
 
-  /// Multi-GPU fallback candidates for one archetype, cached per GPU
-  /// budget. The search shares the archetype's profile through the session
+  static Fleet fleet_of(const FleetRequest& request,
+                        const std::vector<GpuPool>& pools) {
+    Fleet fleet{request, pools, make_packing_policy(request.policy), {},
+                distinct_devices(pools),
+                std::to_string(request.max_gpus_per_job)};
+    std::size_t next = 0;
+    for (const GpuPool& gpu_pool : pools) {
+      fleet.starts.push_back(next);
+      next += static_cast<std::size_t>(gpu_pool.count);
+    }
+    for (const gpu::DeviceModel& device : sorted_devices(pools)) {
+      fleet.plan_key += "|" + device.name;
+    }
+    return fleet;
+  }
+
+  /// Multi-GPU fallback candidates for one archetype, planned against the
+  /// devices of the fleet being packed and cached per Fleet::plan_key. The
+  /// search shares the archetype's profile through the session
   /// (profiles_run stays == distinct_jobs).
-  const std::vector<PlanCandidateLite>& plan_for(
-      const FleetRequest& request, const core::TrainJob& job,
-      const std::vector<gpu::DeviceModel>& devices, FleetCounters& counters) {
-    Archetype& archetype = cache[archetype_key(request, job)];
-    const auto it = archetype.plans.find(request.max_gpus_per_job);
+  const std::vector<PlanCandidateLite>& plan_for(const Fleet& fleet,
+                                                 const core::TrainJob& job,
+                                                 Archetype& archetype,
+                                                 FleetCounters& counters) {
+    const auto it = archetype.plans.find(fleet.plan_key);
     if (it != archetype.plans.end()) return it->second;
 
+    const FleetRequest& request = fleet.request;
     core::PlanRequest plan;
     plan.job = job;
-    plan.devices = devices;
+    plan.devices = sorted_devices(fleet.pools);
     plan.max_gpus = request.max_gpus_per_job;
     plan.allocator = request.allocator;
     plan.allocator_config = request.allocator_config;
@@ -529,52 +585,30 @@ struct FleetPlanner::Impl {
     plan.tenant = request.tenant;
     const core::PlanReport report = service.plan(plan);
     counters.plans_run += 1;
-    counters.profiles_run += report.profiles_run;
-    counters.profile_cache_hits += report.profile_cache_hits;
-    counters.replays_run += report.replays_run;
-    counters.result_cache_hits += report.result_cache_hits;
+    add_work(counters, report);
 
     std::vector<PlanCandidateLite> candidates;
     for (const core::PlanCandidate& candidate : report.candidates) {
       if (candidate.plan.gpus <= 1) continue;
-      PlanCandidateLite lite;
-      lite.data_parallel = candidate.plan.data_parallel;
-      lite.tensor_parallel = candidate.plan.tensor_parallel;
-      lite.pipeline_stages = candidate.plan.pipeline_stages;
-      lite.gpus = candidate.plan.gpus;
-      lite.rank_peak = candidate.replayed ? candidate.replayed_per_rank_peak
-                                          : candidate.plan.per_rank_peak;
-      candidates.push_back(lite);
+      candidates.push_back(
+          {candidate.plan.data_parallel, candidate.plan.tensor_parallel,
+           candidate.plan.pipeline_stages, candidate.plan.gpus,
+           candidate.replayed ? candidate.replayed_per_rank_peak
+                              : candidate.plan.per_rank_peak});
     }
-    return archetype.plans.emplace(request.max_gpus_per_job,
-                                   std::move(candidates))
+    return archetype.plans.emplace(fleet.plan_key, std::move(candidates))
         .first->second;
-  }
-
-  static std::vector<std::size_t> pool_starts(
-      const std::vector<GpuPool>& pools) {
-    std::vector<std::size_t> starts(pools.size(), 0);
-    std::size_t next = 0;
-    for (std::size_t p = 0; p < pools.size(); ++p) {
-      starts[p] = next;
-      next += static_cast<std::size_t>(pools[p].count);
-    }
-    return starts;
   }
 
   /// Report fields for a job that was not placed: the cheapest-to-host
   /// fleet device (minimum demand; pool order breaks ties).
-  static void fill_best_single(JobVerdict& verdict,
-                               const std::vector<GpuPool>& pools,
-                               const Archetype& archetype,
-                               const HeadroomPolicy& headroom) {
+  static void fill_best_single(const Fleet& fleet, const Archetype& archetype,
+                               JobVerdict& verdict) {
     std::int64_t best_demand = -1;
-    std::set<std::string> seen;
-    for (const GpuPool& gpu_pool : pools) {
-      const std::string& name = gpu_pool.device.name;
-      if (!seen.insert(name).second) continue;
-      const std::int64_t peak = archetype.peak_by_device.at(name);
-      const std::int64_t demand = peak + headroom.bytes_for(name, peak);
+    for (const gpu::DeviceModel* device : fleet.devices) {
+      const std::int64_t peak = archetype.peak_by_device.at(device->name);
+      const std::int64_t demand =
+          peak + fleet.request.headroom.bytes_for(device->name, peak);
       if (best_demand < 0 || demand < best_demand) {
         best_demand = demand;
         verdict.predicted_peak = peak;
@@ -584,21 +618,56 @@ struct FleetPlanner::Impl {
     }
   }
 
-  /// Place one job against the current slots (the shared packing step of
-  /// batch packs and incremental arrivals). Fills `verdict` and commits
-  /// into `result` on admit.
-  void place_job(const FleetRequest& request,
-                 const std::vector<GpuPool>& pools,
-                 const std::vector<std::size_t>& pool_start,
-                 const std::vector<gpu::DeviceModel>& plan_devices,
-                 const FleetJob& fleet_job, PackingPolicy& policy,
-                 PackResult& result, FleetCounters& counters,
-                 JobVerdict& verdict) {
-    const core::TrainJob& job = fleet_job.job;
+  /// The one placement rule: choose `gpus` distinct slots among the
+  /// `demands.size()` slots from `first`, commit the job on each and admit
+  /// `verdict` there. Returns false, committing nothing, when fewer fit.
+  static bool take_slots(const Fleet& fleet, std::size_t first,
+                         std::vector<std::int64_t> demands,
+                         const std::vector<std::int64_t>& peaks, int gpus,
+                         PackResult& result, JobVerdict& verdict) {
+    const auto begin = result.slots.begin() + first;
+    std::vector<SlotState> range(begin, begin + demands.size());
+    std::vector<std::pair<std::size_t, std::int64_t>> taken;  // slot, commit
+    std::int64_t peak = 0;
+    std::int64_t demand = 0;
+    for (int rank = 0; rank < gpus; ++rank) {
+      const int chosen = fleet.policy->choose(range, demands);
+      if (chosen < 0) return false;
+      const std::size_t slot = static_cast<std::size_t>(chosen);
+      peak = peaks[slot];
+      demand = demands[slot];
+      const std::int64_t commit =
+          fleet.policy->commit_bytes(demand, range[slot]);
+      range[slot].committed += commit;
+      range[slot].jobs += 1;
+      // Ranks need distinct GPUs: rule the chosen slot out for the next rank.
+      demands[slot] = std::numeric_limits<std::int64_t>::max() / 2;
+      taken.emplace_back(slot, commit);
+    }
+    std::copy(range.begin(), range.end(), begin);
+    verdict.verdict = Verdict::kAdmit;
+    verdict.gpus = gpus;
+    verdict.predicted_peak = peak;
+    verdict.headroom_bytes = demand - peak;
+    verdict.demand_bytes = demand;
+    for (const auto& [slot, commit] : taken) {
+      result.slot_predicted[first + slot] += peaks[slot];
+      verdict.placements.push_back({range[slot].pool, range[slot].index,
+                                    fleet.pools[range[slot].pool].device.name,
+                                    commit});
+    }
+    return true;
+  }
+
+  /// Phase place: one job against the current slots — the step of batch
+  /// packs and trailing arrivals. Fills `verdict`; commits on admit.
+  void place(const Fleet& fleet, const FleetJob& fleet_job,
+             Archetype& archetype, PackResult& result,
+             FleetCounters& counters, JobVerdict& verdict) {
+    const FleetRequest& request = fleet.request;
     verdict.id = fleet_job.id;
-    verdict.label = job.label();
+    verdict.label = fleet_job.job.label();
     verdict.priority = fleet_job.priority;
-    const Archetype& archetype = cache.at(archetype_key(request, job));
     if (!archetype.supported) {
       verdict.supported = false;
       verdict.verdict = Verdict::kReject;
@@ -607,60 +676,36 @@ struct FleetPlanner::Impl {
       return;
     }
 
-    std::vector<SlotState>& slots = result.slots;
-    std::vector<std::int64_t> demands(slots.size(), 0);
-    std::vector<std::int64_t> peaks(slots.size(), 0);
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      const std::string& name = pools[slots[i].pool].device.name;
+    std::vector<std::int64_t> demands(result.slots.size(), 0);
+    std::vector<std::int64_t> peaks(result.slots.size(), 0);
+    for (std::size_t i = 0; i < result.slots.size(); ++i) {
+      const std::string& name = fleet.pools[result.slots[i].pool].device.name;
       peaks[i] = archetype.peak_by_device.at(name);
       demands[i] = peaks[i] + request.headroom.bytes_for(name, peaks[i]);
     }
 
     // Would any fleet device host this job on an empty fleet? That line
     // separates defer (load problem) from the multi-GPU fallback.
-    bool single_feasible_empty = false;
-    for (std::size_t p = 0; p < pools.size() && !single_feasible_empty; ++p) {
-      const std::size_t slot = pool_start[p];
-      SlotState empty;
-      empty.pool = p;
-      empty.budget = slots[slot].budget;
-      if (policy.commit_bytes(demands[slot], empty) <= empty.budget) {
-        single_feasible_empty = true;
-      }
+    bool single_fits = false;
+    for (std::size_t p = 0; p < fleet.pools.size() && !single_fits; ++p) {
+      single_fits = fits_empty(*fleet.policy, p, fleet.pools[p],
+                               demands[fleet.starts[p]]);
     }
-
-    if (single_feasible_empty) {
-      const int chosen = policy.choose(slots, demands);
-      if (chosen >= 0) {
-        const std::int64_t commit =
-            policy.commit_bytes(demands[chosen], slots[chosen]);
-        slots[chosen].committed += commit;
-        slots[chosen].jobs += 1;
-        result.slot_predicted[chosen] += peaks[chosen];
-        verdict.verdict = Verdict::kAdmit;
-        verdict.gpus = 1;
-        verdict.predicted_peak = peaks[chosen];
-        verdict.headroom_bytes = demands[chosen] - peaks[chosen];
-        verdict.demand_bytes = demands[chosen];
-        Placement placement;
-        placement.pool = slots[chosen].pool;
-        placement.index = slots[chosen].index;
-        placement.device = pools[slots[chosen].pool].device.name;
-        placement.committed_bytes = commit;
-        verdict.placements.push_back(placement);
-      } else {
-        fill_best_single(verdict, pools, archetype, request.headroom);
-        verdict.verdict = Verdict::kDefer;
-        verdict.reason = "no GPU fits demand " +
-                         std::to_string(verdict.demand_bytes) +
-                         " bytes under current load";
+    if (single_fits) {
+      if (take_slots(fleet, 0, std::move(demands), peaks, 1, result, verdict)) {
+        return;
       }
+      fill_best_single(fleet, archetype, verdict);
+      verdict.verdict = Verdict::kDefer;
+      verdict.reason = "no GPU fits demand " +
+                       std::to_string(verdict.demand_bytes) +
+                       " bytes under current load";
       return;
     }
 
     // Multi-GPU fallback: DistributedPlanner candidates, ranks co-located
     // on one pool.
-    fill_best_single(verdict, pools, archetype, request.headroom);
+    fill_best_single(fleet, archetype, verdict);
     if (request.max_gpus_per_job <= 1) {
       verdict.verdict = Verdict::kReject;
       verdict.reason = "fits no single GPU (min demand " +
@@ -668,72 +713,31 @@ struct FleetPlanner::Impl {
                        " bytes) and max_gpus_per_job=1 disables splitting";
       return;
     }
-    const std::vector<PlanCandidateLite>& candidates =
-        plan_for(request, job, plan_devices, counters);
-    bool any_feasible_empty = false;
-    for (const PlanCandidateLite& candidate : candidates) {
-      for (std::size_t p = 0; p < pools.size(); ++p) {
-        if (pools[p].count < candidate.gpus) continue;
-        const std::string& name = pools[p].device.name;
-        const std::int64_t budget = pools[p].device.job_budget();
+    bool any_fits_empty = false;
+    for (const PlanCandidateLite& candidate :
+         plan_for(fleet, fleet_job.job, archetype, counters)) {
+      for (std::size_t p = 0; p < fleet.pools.size(); ++p) {
+        const GpuPool& gpu_pool = fleet.pools[p];
+        if (gpu_pool.count < candidate.gpus) continue;
         const std::int64_t demand =
             candidate.rank_peak +
-            request.headroom.bytes_for(name, candidate.rank_peak);
-        SlotState empty;
-        empty.pool = p;
-        empty.budget = budget;
-        if (policy.commit_bytes(demand, empty) > budget) continue;
-        any_feasible_empty = true;
-
-        const std::size_t start = pool_start[p];
-        const std::size_t count = static_cast<std::size_t>(pools[p].count);
-        std::vector<SlotState> slice(slots.begin() + start,
-                                     slots.begin() + start + count);
-        std::vector<std::int64_t> slice_demands(count, demand);
-        std::vector<int> chosen_local;
-        std::vector<std::int64_t> commits;
-        bool placed = true;
-        for (int rank = 0; rank < candidate.gpus; ++rank) {
-          const int chosen = policy.choose(slice, slice_demands);
-          if (chosen < 0) {
-            placed = false;
-            break;
-          }
-          const std::int64_t commit =
-              policy.commit_bytes(demand, slice[chosen]);
-          slice[chosen].committed += commit;
-          slice[chosen].jobs += 1;
-          // Ranks need distinct GPUs: poison the chosen slot's demand so
-          // the next rank cannot land on it again.
-          slice_demands[chosen] = std::numeric_limits<std::int64_t>::max() / 2;
-          chosen_local.push_back(chosen);
-          commits.push_back(commit);
+            request.headroom.bytes_for(gpu_pool.device.name,
+                                       candidate.rank_peak);
+        if (!fits_empty(*fleet.policy, p, gpu_pool, demand)) continue;
+        any_fits_empty = true;
+        const std::size_t count = static_cast<std::size_t>(gpu_pool.count);
+        if (take_slots(fleet, fleet.starts[p],
+                       std::vector<std::int64_t>(count, demand),
+                       std::vector<std::int64_t>(count, candidate.rank_peak),
+                       candidate.gpus, result, verdict)) {
+          verdict.split = "d" + std::to_string(candidate.data_parallel) +
+                          ",t" + std::to_string(candidate.tensor_parallel) +
+                          ",p" + std::to_string(candidate.pipeline_stages);
+          return;
         }
-        if (!placed) continue;
-
-        std::copy(slice.begin(), slice.end(), slots.begin() + start);
-        verdict.verdict = Verdict::kAdmit;
-        verdict.gpus = candidate.gpus;
-        verdict.predicted_peak = candidate.rank_peak;
-        verdict.headroom_bytes = demand - candidate.rank_peak;
-        verdict.demand_bytes = demand;
-        verdict.split = "d" + std::to_string(candidate.data_parallel) + ",t" +
-                        std::to_string(candidate.tensor_parallel) + ",p" +
-                        std::to_string(candidate.pipeline_stages);
-        for (std::size_t rank = 0; rank < chosen_local.size(); ++rank) {
-          const std::size_t global = start + chosen_local[rank];
-          result.slot_predicted[global] += candidate.rank_peak;
-          Placement placement;
-          placement.pool = p;
-          placement.index = slots[global].index;
-          placement.device = name;
-          placement.committed_bytes = commits[rank];
-          verdict.placements.push_back(placement);
-        }
-        return;
       }
     }
-    if (any_feasible_empty) {
+    if (any_fits_empty) {
       verdict.verdict = Verdict::kDefer;
       verdict.reason =
           "no pool has enough free GPUs for a multi-GPU split under current "
@@ -748,7 +752,7 @@ struct FleetPlanner::Impl {
     }
   }
 
-  static void compute_stats(const FleetRequest& request, PackResult& result) {
+  static void compute_stats(const Archetypes& archetypes, PackResult& result) {
     FleetStats stats;
     stats.gpus_total = static_cast<int>(result.slots.size());
     std::int64_t total_free = 0;
@@ -764,23 +768,13 @@ struct FleetPlanner::Impl {
     }
     stats.jobs = static_cast<int>(result.verdicts.size());
     for (const JobVerdict& verdict : result.verdicts) {
-      switch (verdict.verdict) {
-        case Verdict::kAdmit:
-          stats.admitted += 1;
-          break;
-        case Verdict::kDefer:
-          stats.deferred += 1;
-          break;
-        case Verdict::kReject:
-          stats.rejected += 1;
-          break;
-      }
+      stats.admitted += verdict.verdict == Verdict::kAdmit ? 1 : 0;
+      stats.deferred += verdict.verdict == Verdict::kDefer ? 1 : 0;
+      stats.rejected += verdict.verdict == Verdict::kReject ? 1 : 0;
     }
-    std::set<std::string> distinct;
-    for (const FleetJob& fleet_job : request.jobs) {
-      distinct.insert(job_key(fleet_job.job));
-    }
-    stats.distinct_jobs = static_cast<int>(distinct.size());
+    stats.distinct_jobs = static_cast<int>(
+        std::set<const Archetype*>(archetypes.begin(), archetypes.end())
+            .size());
     stats.waste_bytes = stats.committed_bytes - stats.predicted_bytes;
     if (stats.total_budget_bytes > 0) {
       stats.utilization_pct = static_cast<int>(
@@ -795,21 +789,16 @@ struct FleetPlanner::Impl {
     result.stats = stats;
   }
 
-  /// Pack the whole queue onto `pools`, mint-condition slots. Deterministic
-  /// given the archetype cache: ordered integer arithmetic only.
-  PackResult run_pack(const FleetRequest& request,
-                      const std::vector<GpuPool>& pools,
-                      const std::vector<gpu::DeviceModel>& plan_devices,
-                      PackingPolicy& policy, FleetCounters& counters) {
+  /// Phase pack_onto: the whole queue onto mint-condition slots of the
+  /// fleet. Deterministic given the archetypes: ordered integer arithmetic.
+  PackResult pack_onto(const Fleet& fleet, const Archetypes& archetypes,
+                       FleetCounters& counters) {
+    const FleetRequest& request = fleet.request;
     PackResult result;
-    const std::vector<std::size_t> starts = pool_starts(pools);
-    for (std::size_t p = 0; p < pools.size(); ++p) {
-      for (int i = 0; i < pools[p].count; ++i) {
-        SlotState slot;
-        slot.pool = p;
-        slot.index = i;
-        slot.budget = pools[p].device.job_budget();
-        result.slots.push_back(slot);
+    for (std::size_t p = 0; p < fleet.pools.size(); ++p) {
+      for (int i = 0; i < fleet.pools[p].count; ++i) {
+        result.slots.push_back(
+            {p, i, fleet.pools[p].device.job_budget(), 0, 0});
       }
     }
     result.slot_predicted.assign(result.slots.size(), 0);
@@ -826,61 +815,60 @@ struct FleetPlanner::Impl {
                      });
     std::vector<std::int64_t> reference(request.jobs.size(), 0);
     for (std::size_t i = 0; i < request.jobs.size(); ++i) {
-      const Archetype& archetype =
-          cache.at(archetype_key(request, request.jobs[i].job));
-      if (!archetype.supported) continue;
-      std::set<std::string> seen;
-      for (const GpuPool& gpu_pool : pools) {
-        if (!seen.insert(gpu_pool.device.name).second) continue;
+      if (!archetypes[i]->supported) continue;
+      for (const gpu::DeviceModel* device : fleet.devices) {
         reference[i] = std::max(
-            reference[i], archetype.peak_by_device.at(gpu_pool.device.name));
+            reference[i], archetypes[i]->peak_by_device.at(device->name));
       }
     }
-    std::size_t seg = 0;
-    while (seg < order.size()) {
-      std::size_t end = seg + 1;
+    for (std::size_t seg = 0, end = 0; seg < order.size(); seg = end) {
+      end = seg + 1;
       while (end < order.size() && request.jobs[order[end]].priority ==
                                        request.jobs[order[seg]].priority) {
         ++end;
       }
       std::vector<std::size_t> segment(order.begin() + seg,
                                        order.begin() + end);
-      policy.reorder(segment, reference);
+      fleet.policy->reorder(segment, reference);
       std::copy(segment.begin(), segment.end(), order.begin() + seg);
-      seg = end;
     }
 
     for (const std::size_t index : order) {
-      place_job(request, pools, starts, plan_devices, request.jobs[index],
-                policy, result, counters, result.verdicts[index]);
+      place(fleet, request.jobs[index], *archetypes[index], result, counters,
+            result.verdicts[index]);
     }
-    compute_stats(request, result);
+    compute_stats(archetypes, result);
     return result;
   }
 
-  FleetReport make_report(const FleetRequest& request,
-                          const std::vector<GpuPool>& pools,
-                          const PackResult& result,
-                          const FleetCounters& counters) const {
-    FleetReport report;
-    report.policy = request.policy;
-    report.pools = pools;
-    report.verdicts = result.verdicts;
+  /// Phase report, the tail of every entry point: make `next` the planner's
+  /// state and describe it.
+  FleetReport report(FleetRequest next, Archetypes archetypes,
+                     PackResult result, const FleetCounters& counters,
+                     std::size_t next_id,
+                     std::chrono::steady_clock::time_point start) {
+    FleetReport out;
+    out.policy = next.policy;
+    out.pools = next.pools;
+    out.verdicts = result.verdicts;
     for (std::size_t i = 0; i < result.slots.size(); ++i) {
       const SlotState& slot = result.slots[i];
-      GpuState gpu;
-      gpu.pool = slot.pool;
-      gpu.index = slot.index;
-      gpu.device = pools[slot.pool].device.name;
-      gpu.budget_bytes = slot.budget;
-      gpu.committed_bytes = slot.committed;
-      gpu.predicted_bytes = result.slot_predicted[i];
-      gpu.jobs = slot.jobs;
-      report.gpus.push_back(gpu);
+      out.gpus.push_back({slot.pool, slot.index,
+                          next.pools[slot.pool].device.name, slot.budget,
+                          slot.committed, result.slot_predicted[i],
+                          slot.jobs});
     }
-    report.stats = result.stats;
-    report.counters = counters;
-    return report;
+    out.stats = result.stats;
+    out.counters = counters;
+    has_state = true;
+    state_request = std::move(next);
+    state_archetypes = std::move(archetypes);
+    state_result = std::move(result);
+    next_auto_id = next_id;
+    out.wall_seconds = std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
+    return out;
   }
 
   static WhatIfDelta make_delta(const std::vector<GpuPool>& added,
@@ -912,177 +900,124 @@ FleetPlanner::~FleetPlanner() = default;
 
 FleetReport FleetPlanner::pack(const FleetRequest& request) {
   const auto start = std::chrono::steady_clock::now();
-  FleetRequest materialized = request;
-  impl_->materialize_ids(materialized);
-  Impl::validate(materialized);
-  const std::unique_ptr<PackingPolicy> policy =
-      make_packing_policy(materialized.policy);
-  FleetCounters counters;
-  const std::vector<gpu::DeviceModel> devices =
-      Impl::distinct_devices({&materialized.pools, &materialized.what_if});
-  impl_->ensure_archetypes(materialized, devices, counters);
-  PackResult base = impl_->run_pack(materialized, materialized.pools, devices,
-                                    *policy, counters);
-  counters.pools_repacked = materialized.pools.size();
-  FleetReport report =
-      impl_->make_report(materialized, materialized.pools, base, counters);
-  if (!materialized.what_if.empty()) {
-    std::vector<GpuPool> augmented = materialized.pools;
-    augmented.insert(augmented.end(), materialized.what_if.begin(),
-                     materialized.what_if.end());
-    // The second pack reuses the archetype cache end to end, so its
-    // estimation cost is zero; report counters describe the base pack.
-    FleetCounters what_if_counters;
-    const PackResult after = impl_->run_pack(materialized, augmented, devices,
-                                             *policy, what_if_counters);
-    report.what_if = Impl::make_delta(materialized.what_if, base, after);
+  FleetRequest next = request;
+  for (std::size_t i = 0; i < next.jobs.size(); ++i) {
+    if (next.jobs[i].id.empty()) next.jobs[i].id = "job-" + std::to_string(i);
   }
-  impl_->has_state = true;
-  impl_->state_request = materialized;
-  impl_->state_request.what_if.clear();
-  impl_->state_result = std::move(base);
-  impl_->next_auto_id = materialized.jobs.size();
-  report.wall_seconds = seconds_since(start);
+  Impl::validate(next);
+  std::vector<GpuPool> expanded = next.pools;
+  expanded.insert(expanded.end(), next.what_if.begin(), next.what_if.end());
+  FleetCounters counters;
+  const Archetypes archetypes = impl_->resolve(next, expanded, counters);
+  PackResult base =
+      impl_->pack_onto(Impl::fleet_of(next, next.pools), archetypes, counters);
+  counters.pools_repacked = next.pools.size();
+  std::optional<WhatIfDelta> what_if;
+  if (!next.what_if.empty()) {
+    // The second pack plans against its own pools and reuses the archetype
+    // cache, so its estimation cost is zero; report counters describe the
+    // base pack.
+    FleetCounters what_if_counters;
+    const PackResult after = impl_->pack_onto(Impl::fleet_of(next, expanded),
+                                              archetypes, what_if_counters);
+    what_if = Impl::make_delta(next.what_if, base, after);
+    next.what_if.clear();
+  }
+  const std::size_t next_id = next.jobs.size();
+  FleetReport report = impl_->report(std::move(next), archetypes,
+                                     std::move(base), counters, next_id, start);
+  report.what_if = std::move(what_if);
   return report;
 }
 
 FleetReport FleetPlanner::apply(const JobArrival& event) {
   const auto start = std::chrono::steady_clock::now();
   Impl& impl = *impl_;
-  if (!impl.has_state) {
-    throw std::logic_error("FleetPlanner::apply before pack()");
-  }
+  impl.require_state();
+  FleetRequest next = impl.state_request;
   FleetJob job = event.job;
-  auto id_taken = [&impl](const std::string& id) {
-    for (const FleetJob& existing : impl.state_request.jobs) {
-      if (existing.id == id) return true;
-    }
-    return false;
+  std::size_t next_id = impl.next_auto_id;
+  auto id_taken = [&next](const std::string& id) {
+    return std::any_of(next.jobs.begin(), next.jobs.end(),
+                       [&id](const FleetJob& existing) {
+                         return existing.id == id;
+                       });
   };
   if (job.id.empty()) {
     do {
-      job.id = "job-" + std::to_string(impl.next_auto_id);
-      impl.next_auto_id += 1;
+      job.id = "job-" + std::to_string(next_id++);
     } while (id_taken(job.id));
   } else if (id_taken(job.id)) {
     throw std::invalid_argument("fleet apply: duplicate job id '" + job.id +
                                 "'");
   }
-
-  const std::unique_ptr<PackingPolicy> policy =
-      make_packing_policy(impl.state_request.policy);
   // Fast path: an order-preserving policy packs in queue order, so a new
   // job that sorts last (priority <= everything pending) is placed against
   // the existing state — provably equal to a full repack.
-  bool sorts_last = true;
-  for (const FleetJob& existing : impl.state_request.jobs) {
-    if (existing.priority < job.priority) {
-      sorts_last = false;
-      break;
-    }
-  }
-  const bool fast = policy->order_preserving() && sorts_last;
-
-  impl.state_request.jobs.push_back(job);
+  const bool sorts_last =
+      std::all_of(next.jobs.begin(), next.jobs.end(),
+                  [&job](const FleetJob& existing) {
+                    return existing.priority >= job.priority;
+                  });
+  next.jobs.push_back(job);
   FleetCounters counters;
-  const std::vector<gpu::DeviceModel> devices =
-      Impl::distinct_devices({&impl.state_request.pools});
-  impl.ensure_archetypes(impl.state_request, devices, counters);
+  Archetypes archetypes = impl.resolve(next, next.pools, counters);
 
-  if (fast) {
-    const std::vector<std::size_t> starts =
-        Impl::pool_starts(impl.state_request.pools);
-    impl.state_result.verdicts.emplace_back();
-    impl.place_job(impl.state_request, impl.state_request.pools, starts,
-                   devices, job, *policy, impl.state_result, counters,
-                   impl.state_result.verdicts.back());
-    Impl::compute_stats(impl.state_request, impl.state_result);
+  const Impl::Fleet fleet = Impl::fleet_of(next, next.pools);
+  PackResult result;
+  if (fleet.policy->order_preserving() && sorts_last) {
+    result = impl.state_result;
+    result.verdicts.emplace_back();
+    impl.place(fleet, next.jobs.back(), *archetypes.back(), result, counters,
+               result.verdicts.back());
+    Impl::compute_stats(archetypes, result);
     counters.pools_repacked =
-        impl.state_result.verdicts.back().verdict == Verdict::kAdmit ? 1 : 0;
+        result.verdicts.back().verdict == Verdict::kAdmit ? 1 : 0;
   } else {
-    impl.state_result = impl.run_pack(
-        impl.state_request, impl.state_request.pools, devices, *policy,
-        counters);
-    counters.pools_repacked = impl.state_request.pools.size();
+    result = impl.pack_onto(fleet, archetypes, counters);
+    counters.pools_repacked = next.pools.size();
   }
-  FleetReport report = impl.make_report(
-      impl.state_request, impl.state_request.pools, impl.state_result,
-      counters);
-  report.wall_seconds = seconds_since(start);
-  return report;
+  return impl.report(std::move(next), std::move(archetypes), std::move(result),
+                     counters, next_id, start);
 }
 
 FleetReport FleetPlanner::apply(const JobFinish& event) {
   const auto start = std::chrono::steady_clock::now();
   Impl& impl = *impl_;
-  if (!impl.has_state) {
-    throw std::logic_error("FleetPlanner::apply before pack()");
-  }
-  std::size_t index = impl.state_request.jobs.size();
-  for (std::size_t i = 0; i < impl.state_request.jobs.size(); ++i) {
-    if (impl.state_request.jobs[i].id == event.id) {
-      index = i;
-      break;
-    }
-  }
-  if (index == impl.state_request.jobs.size()) {
+  impl.require_state();
+  const std::vector<FleetJob>& jobs = impl.state_request.jobs;
+  const auto found =
+      std::find_if(jobs.begin(), jobs.end(), [&event](const FleetJob& job) {
+        return job.id == event.id;
+      });
+  if (found == jobs.end()) {
     throw std::invalid_argument("fleet apply: unknown job id '" + event.id +
                                 "'");
   }
-  const bool was_admitted =
-      impl.state_result.verdicts[index].verdict == Verdict::kAdmit;
-  impl.state_request.jobs.erase(impl.state_request.jobs.begin() +
-                                static_cast<std::ptrdiff_t>(index));
-  impl.state_result.verdicts.erase(impl.state_result.verdicts.begin() +
-                                   static_cast<std::ptrdiff_t>(index));
+  const std::ptrdiff_t index = found - jobs.begin();
+  FleetRequest next = impl.state_request;
+  Archetypes archetypes = impl.state_archetypes;
+  next.jobs.erase(next.jobs.begin() + index);
+  archetypes.erase(archetypes.begin() + index);
 
   FleetCounters counters;
-  if (was_admitted) {
+  PackResult result;
+  if (impl.state_result.verdicts[static_cast<std::size_t>(index)].verdict ==
+      Verdict::kAdmit) {
     // Freed capacity can cascade (a deferred job may now fit), so repack —
     // pure integer arithmetic, every estimate served from the cache.
-    const std::unique_ptr<PackingPolicy> policy =
-        make_packing_policy(impl.state_request.policy);
-    const std::vector<gpu::DeviceModel> devices =
-        Impl::distinct_devices({&impl.state_request.pools});
-    counters.estimates_reused = impl.state_request.jobs.size();
-    impl.state_result = impl.run_pack(
-        impl.state_request, impl.state_request.pools, devices, *policy,
-        counters);
-    counters.pools_repacked = impl.state_request.pools.size();
+    counters.estimates_reused = next.jobs.size();
+    result = impl.pack_onto(Impl::fleet_of(next, next.pools), archetypes,
+                            counters);
+    counters.pools_repacked = next.pools.size();
   } else {
     // A deferred/rejected job never held capacity: placements stand.
-    Impl::compute_stats(impl.state_request, impl.state_result);
+    result = impl.state_result;
+    result.verdicts.erase(result.verdicts.begin() + index);
+    Impl::compute_stats(archetypes, result);
   }
-  FleetReport report = impl.make_report(
-      impl.state_request, impl.state_request.pools, impl.state_result,
-      counters);
-  report.wall_seconds = seconds_since(start);
-  return report;
-}
-
-WhatIfDelta FleetPlanner::what_if(const FleetRequest& request,
-                                  const std::vector<GpuPool>& added_pools) {
-  if (added_pools.empty()) {
-    throw std::invalid_argument(
-        "fleet what-if: added pools must be non-empty");
-  }
-  FleetRequest materialized = request;
-  materialized.what_if = added_pools;
-  impl_->materialize_ids(materialized);
-  Impl::validate(materialized);
-  const std::unique_ptr<PackingPolicy> policy =
-      make_packing_policy(materialized.policy);
-  FleetCounters counters;
-  const std::vector<gpu::DeviceModel> devices =
-      Impl::distinct_devices({&materialized.pools, &materialized.what_if});
-  impl_->ensure_archetypes(materialized, devices, counters);
-  const PackResult base = impl_->run_pack(materialized, materialized.pools,
-                                          devices, *policy, counters);
-  std::vector<GpuPool> augmented = materialized.pools;
-  augmented.insert(augmented.end(), added_pools.begin(), added_pools.end());
-  const PackResult after = impl_->run_pack(materialized, augmented, devices,
-                                           *policy, counters);
-  return Impl::make_delta(added_pools, base, after);
+  return impl.report(std::move(next), std::move(archetypes), std::move(result),
+                     counters, impl.next_auto_id, start);
 }
 
 }  // namespace xmem::sched

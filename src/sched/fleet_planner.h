@@ -11,15 +11,18 @@
 // card fall back to DistributedPlanner candidates consuming multiple
 // slots of one pool.
 //
-// Three layers on top of the batch pack:
+// Two entry points, one pipeline of named phases (validate, resolve,
+// pack_onto, place, report; docs/SCHEDULER.md "Phases"):
 //   * pack(FleetRequest) -> FleetReport — placements, per-job
-//     admit/defer/reject verdicts, fleet utilization/fragmentation stats;
+//     admit/defer/reject verdicts, fleet utilization/fragmentation stats,
+//     and with `what_if` pools a diff against a second pack of the same
+//     queue ("what does adding 8xA100 buy?") that never changes the base
+//     verdicts;
 //   * apply(JobArrival | JobFinish) — incremental re-planning against the
 //     cached estimates (a trailing arrival under an order-preserving
 //     policy touches at most one pool; everything else repacks with pure
-//     integer arithmetic, zero new profiles);
-//   * what_if(request, added_pools) — diff two packs of the same queue
-//     ("what does adding 8xA100 buy?") sharing one archetype cache.
+//     integer arithmetic, zero new profiles). An apply that throws leaves
+//     the planner as it was.
 //
 // Determinism contract matches sweep/plan: serial and ThreadPool-fanned
 // packs produce byte-identical FleetReports (the fan-out only computes
@@ -280,11 +283,6 @@ class FleetPlanner {
   /// before any pack(), std::invalid_argument on duplicate/unknown ids.
   FleetReport apply(const JobArrival& event);
   FleetReport apply(const JobFinish& event);
-
-  /// Diff request.pools vs request.pools + added_pools for the same queue.
-  /// Does not disturb the incremental state.
-  WhatIfDelta what_if(const FleetRequest& request,
-                      const std::vector<GpuPool>& added_pools);
 
  private:
   struct Impl;

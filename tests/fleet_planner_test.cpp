@@ -9,8 +9,9 @@
 //   * serial and ThreadPool-fanned packs render byte-identical reports;
 //   * apply(JobArrival/JobFinish) equals a fresh pack of the final queue —
 //     both the one-slot fast path and the full-repack path;
+//   * an apply() that throws leaves the planner as it was;
 //   * what-if deltas: admitted_delta/newly_admitted arithmetic vs two
-//     independent packs;
+//     independent packs, and what-if pools never change the base pack;
 //   * request JSON round-trips and malformed documents name the bad field.
 #include <gtest/gtest.h>
 
@@ -185,6 +186,26 @@ TEST(FleetPack, PriorityOutranksQueuePosition) {
   EXPECT_EQ(report.verdicts[1].verdict, sched::Verdict::kAdmit);
 }
 
+TEST(FleetPack, FailedSweepOnAThreadedPackLeavesThePlannerUsable) {
+  // Two fresh archetypes fan out on the pool; one sweep throws while the
+  // other still runs. The pack rethrows after both finished.
+  sched::FleetRequest request;
+  request.jobs = {
+      fleet_job("bad", make_job("no-such-model", 5, fw::OptimizerKind::kAdamW)),
+      fleet_job("good", make_job("distilgpt2", 5, fw::OptimizerKind::kSgd)),
+  };
+  request.pools = {{gpu::rtx3060(), 1}};
+
+  core::EstimationService service;
+  sched::FleetPlannerOptions options;
+  options.threads = 4;
+  sched::FleetPlanner planner(service, options);
+  EXPECT_ANY_THROW(planner.pack(request));
+  request.jobs.erase(request.jobs.begin());
+  const sched::FleetReport report = planner.pack(request);
+  EXPECT_EQ(report.stats.admitted, 1);
+}
+
 // ---------- policy comparisons ----------
 
 TEST(FleetPolicies, BfdAdmitsAtLeastAsManyAsFirstFitAndWholeGpuTrails) {
@@ -280,6 +301,24 @@ TEST(FleetDeterminism, SerialAndThreadedPacksRenderIdentically) {
   const std::string threaded_text =
       threaded.pack(request).to_json(/*include_timings=*/false).dump(2);
   EXPECT_EQ(serial_text, threaded_text);
+
+  // Two big jobs through the multi-GPU fallback, packed again with a
+  // what-if pool that plans against its own device set.
+  sched::FleetRequest split;
+  split.jobs = {
+      fleet_job("huge-0", make_job("Qwen3-0.6B", 8, fw::OptimizerKind::kAdamW)),
+      fleet_job("huge-1", make_job("Qwen3-0.6B", 8, fw::OptimizerKind::kAdamW)),
+      fleet_job("small", make_job("distilgpt2", 5, fw::OptimizerKind::kSgd)),
+  };
+  split.pools = {{gpu::rtx3060(), 4}};
+  split.max_gpus_per_job = 4;
+  split.what_if = {{gpu::rtx4060(), 2}};
+  const std::string serial_split =
+      serial.pack(split).to_json(/*include_timings=*/false).dump(2);
+  const std::string threaded_split =
+      threaded.pack(split).to_json(/*include_timings=*/false).dump(2);
+  EXPECT_EQ(serial_split, threaded_split);
+  EXPECT_NE(serial_split.find("\"split\""), std::string::npos);
 }
 
 // ---------- incremental apply ----------
@@ -373,6 +412,29 @@ TEST(FleetApply, RejectsDuplicateAndUnknownIdsAndPackless) {
                std::invalid_argument);
 }
 
+TEST(FleetApply, FailedArrivalLeavesStateUntouched) {
+  const sched::FleetRequest base = small_request();
+  core::EstimationService service;
+  sched::FleetPlanner planner(service);
+  planner.pack(base);
+
+  const sched::FleetJob bad = fleet_job(
+      "bad", make_job("no-such-model", 5, fw::OptimizerKind::kAdamW), -1);
+  EXPECT_ANY_THROW(planner.apply(sched::JobArrival{bad}));
+
+  // The failed arrival left no trace: a good one packs as if it never came.
+  const sched::FleetJob late = fleet_job(
+      "late", make_job("distilgpt2", 5, fw::OptimizerKind::kSgd), -1);
+  const sched::FleetReport incremental =
+      planner.apply(sched::JobArrival{late});
+  sched::FleetRequest full = base;
+  full.jobs.push_back(late);
+  core::EstimationService fresh_service;
+  EXPECT_EQ(packing_fingerprint(incremental),
+            packing_fingerprint(fresh_service.fleet(full)));
+  EXPECT_THROW(planner.apply(sched::JobFinish{"bad"}), std::invalid_argument);
+}
+
 // ---------- what-if ----------
 
 TEST(FleetWhatIf, DeltaMatchesTwoIndependentPacks) {
@@ -406,6 +468,34 @@ TEST(FleetWhatIf, DeltaMatchesTwoIndependentPacks) {
   EXPECT_EQ(delta.stats_after.to_json().dump(), after.stats.to_json().dump());
   ASSERT_EQ(delta.newly_admitted.size(), 1u);
   EXPECT_EQ(delta.newly_admitted[0], "big-1");
+}
+
+TEST(FleetWhatIf, WhatIfPoolsDoNotChangeTheBasePack) {
+  // Qwen3-0.6B/b8 fits no single 3060 and splits through the plan
+  // fallback, whose candidates depend on the devices planned against.
+  sched::FleetRequest request;
+  request.jobs = {fleet_job(
+      "huge", make_job("Qwen3-0.6B", 8, fw::OptimizerKind::kAdamW))};
+  request.pools = {{gpu::rtx3060(), 8}};
+  request.max_gpus_per_job = 4;
+  core::EstimationService base_service;
+  const sched::FleetReport base = base_service.fleet(request);
+  ASSERT_EQ(base.verdicts[0].verdict, sched::Verdict::kAdmit);
+  EXPECT_FALSE(base.verdicts[0].split.empty());
+
+  sched::FleetRequest asked = request;
+  asked.what_if = {{gpu::rtx4060(), 1}};
+  core::EstimationService what_if_service;
+  const sched::FleetReport with = what_if_service.fleet(asked);
+  EXPECT_EQ(packing_fingerprint(with), packing_fingerprint(base));
+
+  sched::FleetRequest expanded = request;
+  expanded.pools.push_back({gpu::rtx4060(), 1});
+  core::EstimationService expanded_service;
+  const sched::FleetReport after = expanded_service.fleet(expanded);
+  ASSERT_TRUE(with.what_if.has_value());
+  EXPECT_EQ(with.what_if->stats_after.to_json().dump(),
+            after.stats.to_json().dump());
 }
 
 // ---------- JSON schema ----------

@@ -242,10 +242,10 @@ void BM_PlanRefine(benchmark::State& state) {
 BENCHMARK(BM_PlanRefine)->Arg(0)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
 
 void BM_PlanRefineDedup(benchmark::State& state) {
-  // The symmetric-rank collapse + cross-candidate memo cache, isolated: the
-  // same DP-heavy top-8 refinement with dedup_replays off (arg 0: every
-  // d*t sibling replayed individually) vs on (arg 1: one replay per
-  // distinct sequence). Items are refined candidates, so the rate delta IS
+  // The symmetric-rank collapse + one replay per distinct stage key,
+  // isolated: the same DP-heavy top-8 refinement with dedup_replays off
+  // (arg 0: every d*t sibling of every stage replayed individually) vs on
+  // (arg 1: one replay per distinct stage of the plan). Items are refined candidates, so the rate delta IS
   // the marginal-cost-per-candidate delta the dedup buys.
   const auto session = std::make_shared<core::ProfileSession>();
   core::PlanRequest request;
@@ -272,7 +272,7 @@ BENCHMARK(BM_PlanRefineDedup)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_PlanRefineAll(benchmark::State& state) {
   // Full-search refinement: replay every enumerated decomposition instead
-  // of the top-K — the mode the memoization exists to make affordable.
+  // of the top-K — the mode the stage dedup exists to make affordable.
   const auto session = std::make_shared<core::ProfileSession>();
   core::PlanRequest request;
   request.job = test_job();

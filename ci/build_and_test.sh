@@ -198,12 +198,14 @@ rm -f "${overlap_actual}"
 # --- xmem plan full-search smoke -------------------------------------------
 # The overlap fixture again with --refine-all: every enumerated
 # decomposition replays, which is only affordable because symmetric ranks
-# collapse onto shared replays. Grep-only (the report payload is pinned by
-# the top-K goldens above): still exactly one CPU profile, a nonzero
-# replays_deduped proving the collapse fired on the full search, and
-# replayed_candidates == candidates_evaluated — the fixture's
-# max_candidates cap trims the report after refinement, never the search.
+# collapse onto shared replays and each distinct stage replays once. The
+# golden pins the whole report, counters included; the greps name what
+# matters: still exactly one CPU profile, a nonzero replays_deduped
+# proving the collapse fired on the full search, and replayed_candidates
+# == candidates_evaluated — the fixture's max_candidates cap trims the
+# report after refinement, never the search.
 
+refine_all_golden="${FIXTURE_DIR}/plan_report_refine_all.json"
 refine_all_actual="$(mktemp)"
 refine_all_failed=0
 "${BUILD_DIR}/src/xmem_cli" plan "${FIXTURE_DIR}/plan_request_overlap.json" \
@@ -225,6 +227,16 @@ replayed="$(grep -oE '"replayed_candidates": [0-9]+' "${refine_all_actual}" |
 if [[ -z "${evaluated}" || "${replayed}" != "${evaluated}" ]]; then
   echo "REFINE-ALL SMOKE: replayed_candidates (${replayed:-missing}) must" \
     "equal candidates_evaluated (${evaluated:-missing})" >&2
+  GOLDEN_FAILED=1
+  refine_all_failed=1
+fi
+if [[ "${UPDATE_GOLDENS}" == "1" ]]; then
+  cp "${refine_all_actual}" "${refine_all_golden}"
+  echo "updated ${refine_all_golden}"
+elif ! diff -u "${refine_all_golden}" "${refine_all_actual}" > /dev/null; then
+  echo "REFINE-ALL SMOKE MISMATCH: full-search report schema or payload changed" >&2
+  diff -u "${refine_all_golden}" "${refine_all_actual}" >&2 || true
+  echo "If intentional, regenerate: ci/build_and_test.sh --update-goldens" >&2
   GOLDEN_FAILED=1
   refine_all_failed=1
 fi

@@ -9,6 +9,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <tuple>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "core/estimator_registry.h"
@@ -841,19 +842,19 @@ void EstimationService::refine(const PlanRequest& request,
                                const std::vector<ComponentProfile>& profiles,
                                PlanReport& report) {
   // Replay the top-K ranked candidates (or, under refine_all, every one)
-  // through the allocator tower. The transformer binds the ONE cached
-  // orchestrated sequence; each worker owns its scratch, so the fan-out is
-  // deterministic and the buffers amortize across a candidate's ranks.
+  // through the allocator tower, each distinct stage of the plan once. The
+  // transformer binds the ONE cached orchestrated sequence.
   //
   // Symmetric-rank collapse: a candidate's replayed peaks cover all d*t*p
   // deployment ranks, but the transform has no DP/TP rank index — the d*t
   // siblings of a pipeline stage replay byte-identical sequences — so only
-  // the p stage sequences are ever simulated and the stage verdict is
-  // fanned across its siblings exactly. Cross-candidate memoization then
-  // prices repeated sequences (fingerprint + full-compare guard in the
-  // ReplayScratch result cache) at a lookup instead of a simulation.
-  // request.dedup_replays = false replays every deployment rank one by one
-  // — the naive baseline — and must yield a byte-identical report.
+  // the p stage sequences are simulated and each stage verdict is fanned
+  // across its siblings. Across candidates and collective modes, stages
+  // are keyed on the transform's exact inputs (StageKey): equal keys give
+  // equal sequences by construction, so each distinct key is transformed,
+  // fingerprinted and replayed once. request.dedup_replays = false
+  // replays every deployment rank one by one — the naive baseline — and
+  // must yield a byte-identical report.
   //
   // Clamp before the size_t cast: a negative refine_top_k reaching here
   // through the C++ API (the JSON path rejects it) means "disabled", not
@@ -868,94 +869,116 @@ void EstimationService::refine(const PlanRequest& request,
   if (count == 0) return;
 
   const SequenceTransformer transformer(sequence, profiles);
-  // Per-candidate stage fingerprints, slot-indexed so the fan-out records
-  // them race-free; the counter post-pass below reads them in candidate
-  // order on the calling thread.
-  struct RefineTrace {
-    std::vector<std::uint64_t> resident_fps;  ///< comm_overlap baseline
-    std::vector<std::uint64_t> replay_fps;    ///< the ranking replays
-    std::size_t symmetric = 1;                ///< d*t siblings per stage
-  };
-  std::vector<RefineTrace> traces(count);
-  run_fanned(count, [&](std::size_t i) {
-    PlanCandidate& candidate = report.candidates[i];
-    RankTransformOptions transform;
-    transform.data_parallel = candidate.plan.data_parallel;
-    transform.tensor_parallel = candidate.plan.tensor_parallel;
-    transform.micro_batches = request.micro_batches;
-    transform.zero = request.zero;
-    transform.ddp_bucket_bytes = request.ddp_bucket_bytes;
-    transform.ddp_bucket_count = request.ddp_bucket_count;
-    transform.tensor.activation_replication_pct =
-        request.activation_replication_pct;
-    transform.materialize_blocks = false;  // events are all the replay needs
+  // The transform options one plan holds fixed; d, t and the collective
+  // mode travel in each stage key.
+  RankTransformOptions transform;
+  transform.micro_batches = request.micro_batches;
+  transform.zero = request.zero;
+  transform.ddp_bucket_bytes = request.ddp_bucket_bytes;
+  transform.ddp_bucket_count = request.ddp_bucket_count;
+  transform.tensor.activation_replication_pct =
+      request.activation_replication_pct;
+  transform.materialize_blocks = false;  // events are all the replay needs
+  SimulationOptions sim_options;
+  sim_options.backend = request.allocator;
+  sim_options.backend_knobs =
+      knobs_for(request.allocator_config, request.allocator);
 
-    const std::size_t stages =
-        std::max<std::size_t>(candidate.plan.rank_peaks.size(), 1);
-    const std::size_t symmetric = static_cast<std::size_t>(
-        std::max(1, candidate.plan.data_parallel) *
-        std::max(1, candidate.plan.tensor_parallel));
-    RefineTrace& trace = traces[i];
-    trace.symmetric = symmetric;
-    MemorySimulator simulator;
-    SimulationOptions sim_options;
-    sim_options.backend = request.allocator;
-    sim_options.backend_knobs =
-        knobs_for(request.allocator_config, request.allocator);
-    // Worker-thread-lifetime scratch: every candidate this thread picks
-    // up reuses the transform buffers AND the allocator tower, which is
-    // reset — not rebuilt — between replays. The backend_reset() contract
+  // Key every (candidate, mode, stage) on the calling thread: one replay
+  // per distinct key, or — dedup off — one per stage, simulated once per
+  // symmetric sibling.
+  struct StageReplay {
+    StageKey key;
+    std::size_t repeats = 1;
+    std::uint64_t fingerprint = 0;  ///< feeds the counters only
+    std::int64_t peak = 0;
+  };
+  struct CandidateStages {
+    std::vector<std::size_t> resident;  ///< comm_overlap baseline
+    std::vector<std::size_t> replayed;  ///< the ranking replays
+    std::size_t symmetric = 1;          ///< d*t siblings per stage
+  };
+  std::vector<StageReplay> replays;
+  std::unordered_map<StageKey, std::size_t, StageKeyHash> replay_of;
+  std::vector<CandidateStages> plan_stages(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const HybridPlan& plan = report.candidates[i].plan;
+    CandidateStages& stages = plan_stages[i];
+    stages.symmetric = static_cast<std::size_t>(
+        std::max(1, plan.data_parallel) * std::max(1, plan.tensor_parallel));
+    RankTransformOptions options = transform;
+    options.data_parallel = plan.data_parallel;
+    options.tensor_parallel = plan.tensor_parallel;
+    const std::size_t ranks = std::max<std::size_t>(plan.rank_peaks.size(), 1);
+    const auto key_stages = [&](bool window, std::vector<std::size_t>& ids) {
+      options.comm_overlap = window;
+      for (std::size_t s = 0; s < ranks; ++s) {
+        StageKey key = transformer.stage_key(options, plan.stages, ranks, s);
+        if (!request.dedup_replays) {
+          ids.push_back(replays.size());
+          replays.push_back({std::move(key), stages.symmetric});
+          continue;
+        }
+        const auto it = replay_of.find(key);
+        if (it != replay_of.end()) {
+          ids.push_back(it->second);
+          continue;
+        }
+        ids.push_back(replays.size());
+        replays.push_back({key});
+        replay_of.emplace(std::move(key), ids.back());
+      }
+    };
+    // Overlap-window mode replays every stage twice — resident for the
+    // baseline, then with schedule-tied windows — so the report can state
+    // what the windows saved (window_vs_resident_pct).
+    if (request.comm_overlap) key_stages(false, stages.resident);
+    key_stages(request.comm_overlap, stages.replayed);
+  }
+
+  run_fanned(replays.size(), [&](std::size_t j) {
+    // Worker-thread-lifetime scratch: every replay this thread picks up
+    // reuses the transform buffers AND the allocator tower, which is reset
+    // — not rebuilt — between replays. The backend_reset() contract
     // (fw/backend.h) makes each replay byte-identical to a fresh-tower
-    // replay, and a memo-cache hit returns exactly what that replay
-    // would, so the report stays deterministic regardless of how
-    // candidates land on threads or what the cache happens to hold.
+    // replay, so the report stays deterministic regardless of how replays
+    // land on threads.
     thread_local RankScratch scratch;
     thread_local ReplayScratch replay_scratch;
-    const auto stage_peak = [&](const OrchestratedSequence& rank,
-                                std::uint64_t fingerprint) {
-      if (request.dedup_replays) {
-        return simulator.replay_peak_memoized(rank, fingerprint, sim_options,
-                                              replay_scratch);
-      }
-      // Naive baseline: simulate each of the stage's d*t symmetric
-      // deployment ranks individually. Every pass replays the identical
-      // sequence through a reset tower, so the last peak == the first.
-      std::int64_t peak = 0;
-      for (std::size_t sibling = 0; sibling < symmetric; ++sibling) {
-        peak = simulator.replay(rank, sim_options, &replay_scratch).peak_device;
-      }
-      return peak;
-    };
-    // Replay every stage in one collective mode (resident or overlap
-    // windows), fan each stage peak across its d*t symmetric siblings in
-    // stage-major order, and return the worst rank.
-    const auto replay_stages = [&](bool window,
-                                   std::vector<std::int64_t>& rank_peaks,
-                                   std::vector<std::uint64_t>& fingerprints) {
-      transform.comm_overlap = window;
-      rank_peaks.assign(stages * symmetric, 0);
-      fingerprints.resize(stages);
-      for (std::size_t s = 0; s < stages; ++s) {
-        const OrchestratedSequence& rank = transformer.rank_sequence(
-            transform, candidate.plan.stages, stages, s, scratch);
-        fingerprints[s] = sequence_fingerprint(rank);
+    StageReplay& replay = replays[j];
+    const OrchestratedSequence& rank =
+        transformer.rank_sequence(transform, replay.key, scratch);
+    replay.fingerprint = sequence_fingerprint(rank);
+    const MemorySimulator simulator;
+    for (std::size_t r = 0; r < replay.repeats; ++r) {
+      replay.peak = simulator.replay(rank, sim_options, &replay_scratch)
+                        .peak_device;
+    }
+  });
+
+  for (std::size_t i = 0; i < count; ++i) {
+    PlanCandidate& candidate = report.candidates[i];
+    const CandidateStages& stages = plan_stages[i];
+    // Fan each stage peak across its d*t symmetric siblings in stage-major
+    // order and return the worst rank.
+    const auto fan = [&](const std::vector<std::size_t>& ids,
+                         std::vector<std::int64_t>& rank_peaks) {
+      rank_peaks.assign(ids.size() * stages.symmetric, 0);
+      for (std::size_t s = 0; s < ids.size(); ++s) {
         std::fill_n(rank_peaks.begin() + static_cast<std::ptrdiff_t>(
-                                             s * symmetric),
-                    symmetric, stage_peak(rank, fingerprints[s]));
+                                             s * stages.symmetric),
+                    stages.symmetric, replays[ids[s]].peak);
       }
       return *std::max_element(rank_peaks.begin(), rank_peaks.end());
     };
-    // Overlap-window mode replays every stage twice — resident first for
-    // the baseline, then with schedule-tied windows — so the report can
-    // state what the windows saved (window_vs_resident_pct).
     if (request.comm_overlap) {
       candidate.window_mode = true;
-      candidate.resident_per_rank_peak = replay_stages(
-          false, candidate.resident_rank_peaks, trace.resident_fps);
+      candidate.resident_per_rank_peak =
+          fan(stages.resident, candidate.resident_rank_peaks);
     }
     candidate.replayed = true;
-    candidate.replayed_per_rank_peak = replay_stages(
-        request.comm_overlap, candidate.replayed_rank_peaks, trace.replay_fps);
+    candidate.replayed_per_rank_peak =
+        fan(stages.replayed, candidate.replayed_rank_peaks);
     candidate.window_vs_resident_pct = percent_change(
         candidate.resident_per_rank_peak, candidate.replayed_per_rank_peak);
     candidate.analytic_vs_replayed_pct = percent_change(
@@ -965,25 +988,25 @@ void EstimationService::refine(const PlanRequest& request,
                    candidate.replayed_device_fits);
     candidate.verdict_changed =
         candidate.replayed_device_fits != candidate.device_fits;
-  });
+  }
 
-  // Refinement-cost counters: a deterministic post-pass over the recorded
-  // fingerprints in (candidate, resident-before-window, stage) order — the
-  // schedule the dedup machinery executes, independent of thread
-  // interleaving and of whether dedup actually ran (dedup_replays = false
-  // pays the naive cost but reports the same schedule). Each stage stands
-  // for its d*t symmetric deployment ranks: the first sighting of a
-  // fingerprint is one real replay (rank_replays) and m-1 collapsed
-  // siblings; a repeat within the candidate collapses all m onto the
-  // earlier verdict; a repeat across candidates/modes is a memo-cache
-  // lookup (replay_cache_hits) plus m-1 collapsed siblings.
+  // Refinement-cost counters: a deterministic post-pass over the stage
+  // fingerprints in (candidate, resident-before-window, stage) order,
+  // independent of thread interleaving and of whether dedup ran
+  // (dedup_replays = false pays the naive cost but reports the same
+  // schedule). Each stage stands for its d*t symmetric deployment ranks:
+  // the first sighting of a sequence is one real replay (rank_replays) and
+  // m-1 collapsed siblings; a repeat within the candidate collapses all m
+  // onto the earlier verdict; a repeat across candidates/modes reuses an
+  // earlier replay (replay_cache_hits) plus m-1 collapsed siblings.
   std::unordered_set<std::uint64_t> seen;
   std::unordered_set<std::uint64_t> candidate_seen;
-  for (const RefineTrace& trace : traces) {
+  for (const CandidateStages& stages : plan_stages) {
     candidate_seen.clear();
-    const auto account = [&](std::uint64_t fingerprint) {
+    const auto account = [&](std::size_t id) {
+      const std::uint64_t fingerprint = replays[id].fingerprint;
       if (!candidate_seen.insert(fingerprint).second) {
-        report.replays_deduped += trace.symmetric;
+        report.replays_deduped += stages.symmetric;
         return;
       }
       if (seen.insert(fingerprint).second) {
@@ -991,10 +1014,10 @@ void EstimationService::refine(const PlanRequest& request,
       } else {
         ++report.replay_cache_hits;
       }
-      report.replays_deduped += trace.symmetric - 1;
+      report.replays_deduped += stages.symmetric - 1;
     };
-    for (const std::uint64_t fp : trace.resident_fps) account(fp);
-    for (const std::uint64_t fp : trace.replay_fps) account(fp);
+    for (const std::size_t id : stages.resident) account(id);
+    for (const std::size_t id : stages.replayed) account(id);
   }
 }
 

@@ -210,11 +210,12 @@ struct PlanRequest {
   int refine_top_k = 4;
   /// Full-search refinement: replay EVERY ranked decomposition, ignoring
   /// refine_top_k (JSON `"refine_top_k": "all"`, CLI `--refine-all`) —
-  /// affordable because symmetric-rank collapse + replay memoization make
-  /// each candidate pay only for its distinct sequences (docs/PLANNER.md).
+  /// affordable because symmetric-rank collapse + one replay per distinct
+  /// stage make each candidate pay only for stages no earlier candidate
+  /// replayed (docs/PLANNER.md).
   bool refine_all = false;
   /// Test hook, not part of the request schema: collapse symmetric ranks
-  /// and memoize replay verdicts during refinement (on by default).
+  /// and share repeated stages' replays during refinement (on by default).
   /// Turning it off replays every one of a candidate's d*t*p deployment
   /// ranks individually — the naive baseline the dedup is measured against
   /// (BM_PlanRefineDedup) — and MUST produce a byte-identical report
@@ -309,11 +310,11 @@ struct PlanReport {
   /// resident-before-window, then stage order) — they describe the
   /// deduplicated replay schedule, so they are identical serial vs
   /// threaded and dedup-on vs dedup-off (docs/PLANNER.md):
-  ///   rank_replays_run  — distinct sequences the refine pass must simulate
+  ///   rank_replays_run  — distinct sequences the refine pass simulates
   ///   replays_deduped   — logical rank replays collapsed onto a sibling's
   ///                       verdict (symmetric DP/TP ranks + repeated stages)
-  ///   replay_cache_hits — sequences served from the cross-candidate memo
-  ///                       cache instead of a fresh simulation
+  ///   replay_cache_hits — stages whose sequence an earlier candidate or
+  ///                       mode already replayed
   std::size_t rank_replays_run = 0;
   std::size_t replays_deduped = 0;
   std::size_t replay_cache_hits = 0;

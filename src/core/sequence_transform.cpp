@@ -2,25 +2,41 @@
 
 #include <algorithm>
 #include <map>
+#include <stdexcept>
 
 namespace xmem::core {
 
+namespace {
+
+/// One multiply-xorshift step: a bijection of `hash` for a fixed word.
+std::uint64_t mix_word(std::uint64_t hash, std::uint64_t word) {
+  hash = (hash ^ word) * 0xff51afd7ed558ccdULL;
+  return hash ^ (hash >> 32);
+}
+
+}  // namespace
+
 std::uint64_t sequence_fingerprint(const OrchestratedSequence& sequence) {
-  std::uint64_t hash = 1469598103934665603ULL;  // FNV-1a 64 offset basis
-  const auto mix = [&hash](std::uint64_t value) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash ^= (value >> (byte * 8)) & 0xffULL;
-      hash *= 1099511628211ULL;  // FNV-1a 64 prime
-    }
-  };
-  mix(static_cast<std::uint64_t>(sequence.events.size()));
+  std::uint64_t hash =
+      mix_word(0x9e3779b97f4a7c15ULL, sequence.events.size());
   for (const OrchestratedEvent& event : sequence.events) {
-    mix(static_cast<std::uint64_t>(event.ts));
-    mix(static_cast<std::uint64_t>(event.block_id));
-    mix(static_cast<std::uint64_t>(event.bytes));
-    mix(event.is_alloc ? 1u : 0u);
+    hash = mix_word(hash, static_cast<std::uint64_t>(event.ts));
+    hash = mix_word(hash, static_cast<std::uint64_t>(event.block_id) ^
+                              (std::uint64_t{event.is_alloc} << 63));
+    hash = mix_word(hash, static_cast<std::uint64_t>(event.bytes));
   }
   return hash;
+}
+
+std::size_t StageKeyHash::operator()(const StageKey& key) const {
+  std::uint64_t hash = mix_word(0x9e3779b97f4a7c15ULL, key.in_flight.size());
+  hash = mix_word(hash, static_cast<std::uint64_t>(key.data_parallel));
+  hash = mix_word(hash, static_cast<std::uint64_t>(key.tensor_parallel));
+  hash = mix_word(hash, key.comm_overlap ? 1u : 0u);
+  for (const std::int32_t in_flight : key.in_flight) {
+    hash = mix_word(hash, static_cast<std::uint64_t>(in_flight));
+  }
+  return static_cast<std::size_t>(hash);
 }
 
 SequenceTransformer::SequenceTransformer(
@@ -34,42 +50,95 @@ SequenceTransformer::SequenceTransformer(
                      static_cast<std::int32_t>(component_names_.size()));
     component_names_.push_back(profile.component);
   }
+  // Sort the base events once; orchestrated_event_order never reads bytes,
+  // so the bytes field carries the block index through the sort.
+  std::vector<OrchestratedEvent> events;
+  events.reserve(base.blocks.size() * 2);
   block_component_.reserve(base.blocks.size());
-  for (const MemoryBlock& block : base.blocks) {
+  for (std::size_t i = 0; i < base.blocks.size(); ++i) {
+    const MemoryBlock& block = base.blocks[i];
     const auto it = index_of.find(block.component);
     block_component_.push_back(it == index_of.end() ? -1 : it->second);
     next_buffer_id_ = std::max(next_buffer_id_, block.id + 1);
+    const auto index = static_cast<std::int64_t>(i);
+    events.push_back(OrchestratedEvent{block.alloc_ts, block.id, index, true});
+    if (!block.persistent()) {
+      events.push_back(
+          OrchestratedEvent{block.free_ts, block.id, index, false});
+    }
   }
+  std::sort(events.begin(), events.end(), orchestrated_event_order);
+  const auto unattributed = static_cast<std::uint32_t>(component_names_.size());
+  order_.reserve(events.size());
+  for (const OrchestratedEvent& event : events) {
+    const std::int32_t component = block_component_[event.bytes];
+    order_.push_back(BaseEvent{
+        event.ts, event.block_id, static_cast<std::uint32_t>(event.bytes),
+        component < 0 ? unattributed : static_cast<std::uint32_t>(component),
+        event.is_alloc});
+  }
+}
+
+StageKey SequenceTransformer::stage_key(
+    const RankTransformOptions& options,
+    const std::vector<PipelineStage>& chunks, std::size_t pipeline_ranks,
+    std::size_t rank) const {
+  StageKey key;
+  key.data_parallel = std::max(1, options.data_parallel);
+  key.tensor_parallel = std::max(1, options.tensor_parallel);
+  // With no collectives (none requested, or d = t = 1) both modes emit the
+  // same sequence, so the key drops the mode.
+  key.comm_overlap =
+      options.comm_overlap && options.inject_collectives &&
+      (key.data_parallel > 1 || key.tensor_parallel > 1);
+  // Rank r of p owns chunks r, r+p, r+2p, ...; each chunk holds
+  // min(chunks - c, m) in-flight micro-batches.
+  const std::size_t total_chunks = std::max<std::size_t>(chunks.size(), 1);
+  const std::size_t ranks =
+      std::min(std::max<std::size_t>(pipeline_ranks, 1), total_chunks);
+  const std::int64_t micro_batches = std::max(1, options.micro_batches);
+  const auto entry = [&](std::size_t chunk) -> std::int32_t {
+    if (chunk % ranks != rank) return 0;
+    return static_cast<std::int32_t>(std::min<std::int64_t>(
+        static_cast<std::int64_t>(total_chunks - chunk), micro_batches));
+  };
+  key.in_flight.assign(component_names_.size() + 1, entry(0));
+  for (std::size_t c = 0; c < chunks.size(); ++c) {
+    for (std::size_t i = chunks[c].first_component;
+         i <= chunks[c].last_component && i < component_names_.size(); ++i) {
+      key.in_flight[i] = entry(c);
+    }
+  }
+  return key;
 }
 
 const OrchestratedSequence& SequenceTransformer::rank_sequence(
     const RankTransformOptions& options,
     const std::vector<PipelineStage>& chunks, std::size_t pipeline_ranks,
     std::size_t rank, RankScratch& scratch) const {
+  return rank_sequence(options,
+                       stage_key(options, chunks, pipeline_ranks, rank),
+                       scratch);
+}
+
+const OrchestratedSequence& SequenceTransformer::rank_sequence(
+    const RankTransformOptions& options, const StageKey& key,
+    RankScratch& scratch) const {
+  if (key.in_flight.size() != component_names_.size() + 1) {
+    throw std::invalid_argument(
+        "rank_sequence: stage key built for another transformer");
+  }
   OrchestratedSequence& out = scratch.sequence;
   out.blocks.clear();
   out.events.clear();
   scratch.buffers.clear();
-  out.events.reserve(base_.events.size());
+  scratch.collectives.clear();
+  scratch.block_bytes.resize(base_.blocks.size());
   if (options.materialize_blocks) out.blocks.reserve(base_.blocks.size());
 
-  const std::int64_t t = std::max(1, options.tensor_parallel);
-  const std::int64_t d = std::max(1, options.data_parallel);
+  const std::int64_t t = std::max(1, key.tensor_parallel);
+  const std::int64_t d = std::max(1, key.data_parallel);
   const int micro_batches = std::max(1, options.micro_batches);
-
-  // Component -> chunk map from the contiguous partition; everything in one
-  // chunk when no partition was supplied.
-  const std::size_t total_chunks = std::max<std::size_t>(chunks.size(), 1);
-  const std::size_t ranks =
-      std::min(std::max<std::size_t>(pipeline_ranks, 1), total_chunks);
-  std::vector<std::size_t>& chunk_of = scratch.chunk_of;
-  chunk_of.assign(component_names_.size(), 0);
-  for (std::size_t c = 0; c < chunks.size(); ++c) {
-    for (std::size_t i = chunks[c].first_component;
-         i <= chunks[c].last_component && i < chunk_of.size(); ++i) {
-      chunk_of[i] = c;
-    }
-  }
 
   // Per-component TP replication flag, resolved once per call instead of
   // per block (the substring scan is the only string work in the loop).
@@ -97,7 +166,7 @@ const OrchestratedSequence& SequenceTransformer::rank_sequence(
 
   // Overlap-window anchors (window mode only). Per-component vectors carry
   // one trailing slot for unattributed blocks.
-  const bool windows = options.inject_collectives && options.comm_overlap;
+  const bool windows = options.inject_collectives && key.comm_overlap;
   const std::size_t comp_slots = component_names_.size() + 1;
   util::TimeUs optimizer_start_ts = -1;
   util::TimeUs first_sync_ts = -1;
@@ -116,8 +185,10 @@ const OrchestratedSequence& SequenceTransformer::rank_sequence(
   for (std::size_t i = 0; i < base_.blocks.size(); ++i) {
     const MemoryBlock& block = base_.blocks[i];
     const std::int32_t component = block_component_[i];
-    const std::size_t chunk = component < 0 ? 0 : chunk_of[component];
-    if (chunk % ranks != rank) continue;
+    const std::int32_t in_flight =
+        key.in_flight[component < 0 ? component_names_.size()
+                                    : static_cast<std::size_t>(component)];
+    if (in_flight == 0) continue;  // the block's chunk lives on another rank
 
     // 1) Tensor parallelism.
     std::int64_t bytes = block.size;
@@ -176,8 +247,6 @@ const OrchestratedSequence& SequenceTransformer::rank_sequence(
     // 3) 1F1B in-flight scaling: this chunk holds min(chunks - c, m)
     // micro-batch activation copies of 1/m each.
     if (block.phase == Phase::kForward && micro_batches > 1) {
-      const std::int64_t in_flight = std::min<std::int64_t>(
-          static_cast<std::int64_t>(total_chunks - chunk), micro_batches);
       bytes = ceil_div(bytes * in_flight, micro_batches);
     }
     if (block.phase == Phase::kForward) {
@@ -229,12 +298,7 @@ const OrchestratedSequence& SequenceTransformer::rank_sequence(
       }
     }
 
-    out.events.push_back(
-        OrchestratedEvent{block.alloc_ts, block.id, bytes, true});
-    if (!block.persistent()) {
-      out.events.push_back(
-          OrchestratedEvent{block.free_ts, block.id, bytes, false});
-    }
+    scratch.block_bytes[i] = bytes;
     if (options.materialize_blocks) {
       MemoryBlock sliced = block;
       sliced.size = bytes;
@@ -251,9 +315,10 @@ const OrchestratedSequence& SequenceTransformer::rank_sequence(
     if (ts < 0) ts = first_ts < 0 ? 0 : first_ts;
     scratch.buffers.push_back(
         CollectiveBuffer{kind, bytes, ts, free_ts, next_id});
-    out.events.push_back(OrchestratedEvent{ts, next_id, bytes, true});
+    scratch.collectives.push_back(OrchestratedEvent{ts, next_id, bytes, true});
     if (free_ts >= 0) {
-      out.events.push_back(OrchestratedEvent{free_ts, next_id, bytes, false});
+      scratch.collectives.push_back(
+          OrchestratedEvent{free_ts, next_id, bytes, false});
     }
     if (options.materialize_blocks) {
       MemoryBlock block;
@@ -268,7 +333,7 @@ const OrchestratedSequence& SequenceTransformer::rank_sequence(
     ++next_id;
   };
 
-  if (options.inject_collectives && !options.comm_overlap) {
+  if (options.inject_collectives && !key.comm_overlap) {
     if (d > 1) {
       for (int b = 0; b < options.ddp_bucket_count; ++b) {
         inject("ddp_bucket", options.ddp_bucket_bytes, first_backward_ts, -1);
@@ -397,7 +462,24 @@ const OrchestratedSequence& SequenceTransformer::rank_sequence(
     }
   }
 
-  std::sort(out.events.begin(), out.events.end(), orchestrated_event_order);
+  // The base order already is orchestrated_event_order: keep this rank's
+  // events in it and merge in the (few, sorted) collective events.
+  std::vector<OrchestratedEvent>& collectives = scratch.collectives;
+  std::sort(collectives.begin(), collectives.end(), orchestrated_event_order);
+  out.events.reserve(order_.size() + collectives.size());
+  auto next = collectives.begin();
+  for (const BaseEvent& base_event : order_) {
+    if (key.in_flight[base_event.slot] == 0) continue;
+    const OrchestratedEvent event{base_event.ts, base_event.block_id,
+                                  scratch.block_bytes[base_event.block],
+                                  base_event.is_alloc};
+    while (next != collectives.end() &&
+           orchestrated_event_order(*next, event)) {
+      out.events.push_back(*next++);
+    }
+    out.events.push_back(event);
+  }
+  out.events.insert(out.events.end(), next, collectives.end());
   return out;
 }
 

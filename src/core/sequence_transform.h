@@ -75,6 +75,15 @@
 // const across the thread-pool fan-out; each worker passes its own
 // RankScratch, whose buffers are reused across candidates (the §6.1
 // batching/caching pass — measured by BM_RankReplay in bench/).
+//
+// A transform reads the pipeline geometry in exactly two ways: whether a
+// block's chunk lives on this rank, and the chunk's in-flight micro-batch
+// count. StageKey captures those (plus d, t and the collective mode), so
+// under one plan's fixed options equal keys give equal sequences by
+// construction and the planner replays each distinct key once. The base
+// events are put in orchestrated_event_order once, at construction; a
+// transform walks them in that order (the order never reads bytes) and
+// merges in the few injected collective events, sorting only those.
 #pragma once
 
 #include <cstdint>
@@ -86,13 +95,15 @@
 
 namespace xmem::core {
 
-/// Canonical fingerprint of a transformed event sequence: FNV-1a 64 over
-/// every event's (ts, block_id, bytes, is_alloc) in sequence order. Two
-/// ranks with equal fingerprints replay identically (the simulator consumes
-/// events only), so the planner's refine pass collapses symmetric ranks and
-/// memoizes replay verdicts on it — always behind a full event-vector
-/// compare, so a colliding pair degrades to a fresh replay, never a wrong
-/// verdict (tests/sequence_transform_test.cpp pins the property).
+/// Canonical fingerprint of a transformed event sequence: one
+/// multiply-xorshift step per 64-bit word over the event count and every
+/// event's (ts, block_id with is_alloc folded into its top bit, bytes) in
+/// sequence order. Each step is a bijection of the running hash, so two
+/// sequences that differ in one word never share a fingerprint. The
+/// planner's refine pass counts distinct replays on it (rank_replays,
+/// replays_deduped, replay_cache_hits); it never decides which peak a
+/// replay reports — the stage key does (tests/sequence_transform_test.cpp
+/// pins both properties).
 std::uint64_t sequence_fingerprint(const OrchestratedSequence& sequence);
 
 /// How one rank of a (d, t, p) candidate reshapes the base sequence.
@@ -123,6 +134,27 @@ struct RankTransformOptions {
   bool materialize_blocks = true;
 };
 
+/// Everything a rank transform reads beyond the options one plan holds
+/// fixed (micro_batches, zero, bucket geometry, replication model,
+/// inject_collectives): equal keys built under the same fixed options give
+/// byte-equal sequences. SequenceTransformer::stage_key builds one.
+struct StageKey {
+  int data_parallel = 1;    ///< clamped to >= 1
+  int tensor_parallel = 1;  ///< clamped to >= 1
+  /// Collectives as overlap windows; false when the rank injects none.
+  bool comm_overlap = false;
+  /// One entry per component (profile order) plus a trailing entry for
+  /// unattributed blocks: 0 = not on this rank, otherwise the chunk's
+  /// in-flight count min(total_chunks - chunk, micro_batches).
+  std::vector<std::int32_t> in_flight;
+
+  friend bool operator==(const StageKey&, const StageKey&) = default;
+};
+
+struct StageKeyHash {
+  std::size_t operator()(const StageKey& key) const;
+};
+
 /// One injected collective-communication staging buffer (also recorded in
 /// the scratch so tests and reports can see what was added).
 struct CollectiveBuffer {
@@ -142,7 +174,11 @@ struct RankScratch {
   OrchestratedSequence sequence;
   std::vector<CollectiveBuffer> buffers;
   /// Transform-internal working sets, kept here so they reuse capacity too.
-  std::vector<std::size_t> chunk_of;
+  /// block_bytes: this rank's bytes per base block (read only for blocks
+  /// on the rank); collectives: the injected events, sorted before the
+  /// merge into the base order.
+  std::vector<std::int64_t> block_bytes;
+  std::vector<OrchestratedEvent> collectives;
   std::vector<char> replicated;
   /// Overlap-window working sets (only touched when comm_overlap is set).
   /// grad_marks: per-timestamp backward payload, merged and bucketed into
@@ -169,11 +205,25 @@ class SequenceTransformer {
   SequenceTransformer(const OrchestratedSequence& base,
                       const std::vector<ComponentProfile>& profiles);
 
-  /// Emit the sequence pipeline rank `rank` (0-based, of `pipeline_ranks`)
-  /// replays under `options` and the contiguous chunk partition `chunks`
-  /// (a candidate's `plan.stages`; empty = one chunk holding everything).
-  /// Builds into `scratch` and returns `scratch.sequence`. Thread-safe:
-  /// const on the transformer, all mutation confined to the scratch.
+  /// The key of pipeline rank `rank` (0-based, of `pipeline_ranks`) under
+  /// `options` and the contiguous chunk partition `chunks` (a candidate's
+  /// `plan.stages`; empty = one chunk holding everything). Components
+  /// outside every chunk, and unattributed blocks, ride on chunk 0.
+  StageKey stage_key(const RankTransformOptions& options,
+                     const std::vector<PipelineStage>& chunks,
+                     std::size_t pipeline_ranks, std::size_t rank) const;
+
+  /// Emit the sequence of the rank `key` describes. d, t and comm_overlap
+  /// come from the key; every other field of `options` must be the one the
+  /// key was built under. Builds into `scratch` and returns
+  /// `scratch.sequence`. Thread-safe: const on the transformer, all
+  /// mutation confined to the scratch.
+  const OrchestratedSequence& rank_sequence(const RankTransformOptions& options,
+                                            const StageKey& key,
+                                            RankScratch& scratch) const;
+
+  /// rank_sequence(options, stage_key(options, chunks, pipeline_ranks,
+  /// rank), scratch).
   const OrchestratedSequence& rank_sequence(
       const RankTransformOptions& options,
       const std::vector<PipelineStage>& chunks, std::size_t pipeline_ranks,
@@ -187,6 +237,17 @@ class SequenceTransformer {
   std::vector<std::string> component_names_;  ///< profile forward order
   /// Per base block: index into component_names_, or -1 (unattributed).
   std::vector<std::int32_t> block_component_;
+  /// The base blocks' alloc/free events in orchestrated_event_order, each
+  /// with its block index and key slot (component, or component_count()
+  /// for unattributed blocks).
+  struct BaseEvent {
+    util::TimeUs ts = 0;
+    std::int64_t block_id = 0;
+    std::uint32_t block = 0;
+    std::uint32_t slot = 0;
+    bool is_alloc = false;
+  };
+  std::vector<BaseEvent> order_;
   std::int64_t next_buffer_id_ = 0;  ///< first id free for injected buffers
 };
 

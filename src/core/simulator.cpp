@@ -39,13 +39,50 @@ SimulationResult MemorySimulator::replay(const OrchestratedSequence& sequence,
   }
   alloc::SimulatedCudaDriver& driver = *workspace.driver;
   fw::AllocatorBackend* const allocator = workspace.backend.get();
-  // Transform-layer sequences may carry events only (no materialized
-  // blocks); size the live map from whichever is populated.
-  std::unordered_map<std::int64_t, std::int64_t>& live = workspace.live;
-  live.clear();
-  live.reserve(std::max(sequence.blocks.size(), sequence.events.size() / 2));
+  // Dense live table: the Analyzer numbers blocks 1..N and the transforms
+  // continue from there, so slot = id - lowest id. A pipeline rank's slice
+  // holds a fraction of those ids, and clearing a slot per id still costs
+  // far less than hashing one per event, so the table stays dense up to a
+  // span of 64 ids per event. A sparser sequence (hand-built ids) is
+  // remapped to dense slots once, up front; the loop below is the same
+  // either way.
+  const std::vector<OrchestratedEvent>& events = sequence.events;
+  std::int64_t lowest = 0;
+  std::int64_t highest = 0;
+  if (!events.empty()) {
+    const auto [low, high] = std::minmax_element(
+        events.begin(), events.end(),
+        [](const OrchestratedEvent& a, const OrchestratedEvent& b) {
+          return a.block_id < b.block_id;
+        });
+    lowest = low->block_id;
+    highest = high->block_id;
+  }
+  const std::uint64_t span =
+      static_cast<std::uint64_t>(highest) - static_cast<std::uint64_t>(lowest);
+  const bool dense = span / 64 < events.size();
+  std::vector<std::int64_t>& live = workspace.live;
+  std::vector<std::size_t> slots;  ///< per event, sparse sequences only
+  if (dense) {
+    live.assign(span + 1, -1);
+  } else {
+    std::unordered_map<std::int64_t, std::size_t> slot_of;
+    slot_of.reserve(events.size());
+    slots.resize(events.size());
+    for (std::size_t k = 0; k < events.size(); ++k) {
+      slots[k] = slot_of.emplace(events[k].block_id, slot_of.size())
+                     .first->second;
+    }
+    live.assign(slot_of.size(), -1);
+  }
 
-  for (const OrchestratedEvent& event : sequence.events) {
+  for (std::size_t k = 0; k < events.size(); ++k) {
+    const OrchestratedEvent& event = events[k];
+    std::int64_t& handle =
+        live[dense ? static_cast<std::size_t>(
+                         static_cast<std::uint64_t>(event.block_id) -
+                         static_cast<std::uint64_t>(lowest))
+                   : slots[k]];
     if (event.is_alloc) {
       const fw::BackendAllocResult outcome =
           allocator->backend_alloc(event.bytes);
@@ -56,12 +93,11 @@ SimulationResult MemorySimulator::replay(const OrchestratedSequence& sequence,
         result.oom = true;
         break;
       }
-      live[event.block_id] = outcome.id;
+      handle = outcome.id;
     } else {
-      auto it = live.find(event.block_id);
-      if (it == live.end()) continue;  // freed past an OOM cut-off
-      allocator->backend_free(it->second);
-      live.erase(it);
+      if (handle < 0) continue;  // freed past an OOM cut-off
+      allocator->backend_free(handle);
+      handle = -1;
     }
     if (options.record_series) {
       const fw::BackendStats s = allocator->backend_stats();
@@ -83,39 +119,6 @@ SimulationResult MemorySimulator::replay(const OrchestratedSequence& sequence,
     result.stats = caching->stats();
   }
   return result;
-}
-
-std::int64_t MemorySimulator::replay_peak_memoized(
-    const OrchestratedSequence& sequence, const std::uint64_t fingerprint,
-    const SimulationOptions& options, ReplayScratch& scratch,
-    bool* cache_hit) const {
-  const std::string tower_key = replay_tower_key(options);
-  for (const ReplayScratch::CachedReplay& entry : scratch.results) {
-    if (entry.fingerprint != fingerprint || entry.tower_key != tower_key) {
-      continue;
-    }
-    // Collision guard: the fingerprint proposes, the event vector decides.
-    if (entry.events != sequence.events) continue;
-    if (cache_hit != nullptr) *cache_hit = true;
-    return entry.peak_device;
-  }
-  if (cache_hit != nullptr) *cache_hit = false;
-  const std::int64_t peak = replay(sequence, options, &scratch).peak_device;
-  ReplayScratch::CachedReplay record;
-  record.fingerprint = fingerprint;
-  record.tower_key = tower_key;
-  record.events = sequence.events;
-  record.peak_device = peak;
-  if (scratch.results.size() < ReplayScratch::kResultCacheCapacity) {
-    scratch.results.push_back(std::move(record));
-  } else {
-    // FIFO replacement: refine loops touch each sequence in bursts, so the
-    // oldest entry is the least likely to be asked for again.
-    scratch.results[scratch.next_result_slot] = std::move(record);
-    scratch.next_result_slot =
-        (scratch.next_result_slot + 1) % ReplayScratch::kResultCacheCapacity;
-  }
-  return peak;
 }
 
 }  // namespace xmem::core

@@ -16,7 +16,6 @@
 #include <limits>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -62,8 +61,8 @@ struct SimulationResult {
 /// Reusable replay state for hot loops that replay many sequences back to
 /// back (the planner's per-rank refine pass):
 ///
-///   * the live block->backend-id map keeps its bucket array across replays
-///     instead of rehashing from empty every call;
+///   * the live table — backend handle per block slot — is a dense vector
+///     indexed by block id, keeping its capacity across replays;
 ///   * the driver + backend tower is kept and *reset* between replays
 ///     (backend_reset() / SimulatedCudaDriver::reset()) instead of being
 ///     rebuilt, so segment maps, block-node pools, and free-set storage
@@ -74,33 +73,14 @@ struct SimulationResult {
 ///
 /// The tower is only reused when the (backend, knobs, capacity) triple
 /// matches the previous replay — a mismatch rebuilds it transparently.
-///
-/// The scratch also carries a bounded FIFO of finished replay verdicts
-/// keyed on (sequence fingerprint, backend, knobs, capacity) — the
-/// cross-candidate memoization of the planner's refine pass. Every lookup
-/// is guarded by a full event-vector compare, so a fingerprint collision
-/// costs one fresh replay instead of producing a wrong peak; and since a
-/// hit returns exactly what the replay would have computed (the
-/// backend_reset() contract makes replays order-independent), reports stay
-/// byte-identical whether the cache hits or not.
+/// Replay results are not memoized here: the refine pass replays each
+/// distinct stage of a plan once (EstimationService::refine).
 struct ReplayScratch {
-  std::unordered_map<std::int64_t, std::int64_t> live;
+  /// Backend handle per block slot; -1 = not live.
+  std::vector<std::int64_t> live;
   std::unique_ptr<alloc::SimulatedCudaDriver> driver;
   std::unique_ptr<fw::AllocatorBackend> backend;
   std::string tower_key;  ///< backend|knobs|capacity of the held tower
-
-  struct CachedReplay {
-    std::uint64_t fingerprint = 0;
-    std::string tower_key;
-    std::vector<OrchestratedEvent> events;  ///< collision guard
-    std::int64_t peak_device = 0;
-  };
-  /// FIFO ring of finished verdicts; 32 entries covers every stage of a
-  /// refine-all search's in-flight candidates without holding more than a
-  /// few MB of guard events per worker thread.
-  static constexpr std::size_t kResultCacheCapacity = 32;
-  std::vector<CachedReplay> results;
-  std::size_t next_result_slot = 0;
 };
 
 /// Compose the (backend, knobs, capacity) scratch/tower cache key.
@@ -111,17 +91,6 @@ class MemorySimulator {
   SimulationResult replay(const OrchestratedSequence& sequence,
                           const SimulationOptions& options = {},
                           ReplayScratch* scratch = nullptr) const;
-
-  /// Memoized peak_device of `replay(sequence, options)`: hit the scratch's
-  /// bounded result cache on (fingerprint, backend, knobs, capacity) —
-  /// verified by full event compare — or replay and record. `cache_hit`
-  /// (optional) reports which path ran; the returned peak is identical
-  /// either way.
-  std::int64_t replay_peak_memoized(const OrchestratedSequence& sequence,
-                                    std::uint64_t fingerprint,
-                                    const SimulationOptions& options,
-                                    ReplayScratch& scratch,
-                                    bool* cache_hit = nullptr) const;
 };
 
 }  // namespace xmem::core

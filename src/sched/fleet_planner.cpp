@@ -125,11 +125,20 @@ util::Json GpuPool::to_json() const {
   return schema::write_object(*this, kPoolSchema);
 }
 
-std::int64_t HeadroomPolicy::bytes_for(const std::string& device_name,
-                                       std::int64_t predicted_peak) const {
+std::int64_t HeadroomPolicy::demand_for(const std::string& device_name,
+                                        std::int64_t predicted_peak) const {
   const auto it = per_device.find(device_name);
   const HeadroomRule& rule = it == per_device.end() ? base : it->second;
-  return rule.absolute_bytes + predicted_peak * rule.percent / 100;
+  constexpr std::int64_t kSaturated = std::numeric_limits<std::int64_t>::max();
+  std::int64_t scaled = 0;
+  std::int64_t demand = 0;
+  if (__builtin_mul_overflow(predicted_peak, std::int64_t{rule.percent},
+                             &scaled) ||
+      __builtin_add_overflow(predicted_peak, scaled / 100, &demand) ||
+      __builtin_add_overflow(demand, rule.absolute_bytes, &demand)) {
+    return kSaturated;
+  }
+  return demand;
 }
 
 HeadroomPolicy HeadroomPolicy::from_json(const util::Json& json) {
@@ -608,7 +617,7 @@ struct FleetPlanner::Impl {
     for (const gpu::DeviceModel* device : fleet.devices) {
       const std::int64_t peak = archetype.peak_by_device.at(device->name);
       const std::int64_t demand =
-          peak + fleet.request.headroom.bytes_for(device->name, peak);
+          fleet.request.headroom.demand_for(device->name, peak);
       if (best_demand < 0 || demand < best_demand) {
         best_demand = demand;
         verdict.predicted_peak = peak;
@@ -681,7 +690,7 @@ struct FleetPlanner::Impl {
     for (std::size_t i = 0; i < result.slots.size(); ++i) {
       const std::string& name = fleet.pools[result.slots[i].pool].device.name;
       peaks[i] = archetype.peak_by_device.at(name);
-      demands[i] = peaks[i] + request.headroom.bytes_for(name, peaks[i]);
+      demands[i] = request.headroom.demand_for(name, peaks[i]);
     }
 
     // Would any fleet device host this job on an empty fleet? That line
@@ -719,10 +728,8 @@ struct FleetPlanner::Impl {
       for (std::size_t p = 0; p < fleet.pools.size(); ++p) {
         const GpuPool& gpu_pool = fleet.pools[p];
         if (gpu_pool.count < candidate.gpus) continue;
-        const std::int64_t demand =
-            candidate.rank_peak +
-            request.headroom.bytes_for(gpu_pool.device.name,
-                                       candidate.rank_peak);
+        const std::int64_t demand = request.headroom.demand_for(
+            gpu_pool.device.name, candidate.rank_peak);
         if (!fits_empty(*fleet.policy, p, gpu_pool, demand)) continue;
         any_fits_empty = true;
         const std::size_t count = static_cast<std::size_t>(gpu_pool.count);

@@ -77,8 +77,10 @@ struct HeadroomPolicy {
   HeadroomRule base;
   std::map<std::string, HeadroomRule> per_device;  ///< keyed by device name
 
-  std::int64_t bytes_for(const std::string& device_name,
-                         std::int64_t predicted_peak) const;
+  /// predicted_peak + absolute_bytes + predicted_peak * percent / 100 on
+  /// `device_name`, saturated at INT64_MAX — a demand no GPU admits.
+  std::int64_t demand_for(const std::string& device_name,
+                          std::int64_t predicted_peak) const;
 
   static HeadroomPolicy from_json(const util::Json& json);
   util::Json to_json() const;

@@ -2,6 +2,8 @@
 // sequence-sensitivity effect, capacity-bound OOM, and curve recording.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/simulator.h"
 #include "util/bytes.h"
 
@@ -119,6 +121,31 @@ TEST(Simulator, SeriesRecordsEveryEvent) {
   EXPECT_EQ(r.allocated_series.back().second, 0);
   for (std::size_t i = 0; i < r.reserved_series.size(); ++i) {
     EXPECT_GE(r.reserved_series[i].second, r.allocated_series[i].second);
+  }
+}
+
+TEST(Simulator, SparseBlockIdsReplayLikeDenseOnes) {
+  // The live table is indexed by block id; ids far apart (and negative)
+  // take the remapped path and must replay exactly like ids 1..N, through
+  // a scratch that alternates between both paths.
+  const auto dense = make_sequence({{5 * kMiB, 0, 30},
+                                    {30 * kMiB, 5, 20},
+                                    {2 * kMiB, 10, -1},
+                                    {30 * kMiB, 25, 40}});
+  OrchestratedSequence sparse = dense;
+  const std::int64_t ids[] = {-7, std::int64_t{1} << 40, 3,
+                              std::numeric_limits<std::int64_t>::max()};
+  for (OrchestratedEvent& event : sparse.events) {
+    event.block_id = ids[event.block_id - 1];
+  }
+  ReplayScratch scratch;
+  for (int round = 0; round < 2; ++round) {
+    const SimulationResult a = MemorySimulator().replay(dense, {}, &scratch);
+    const SimulationResult b = MemorySimulator().replay(sparse, {}, &scratch);
+    EXPECT_EQ(a.peak_reserved, b.peak_reserved);
+    EXPECT_EQ(a.peak_device, b.peak_device);
+    EXPECT_EQ(a.peak_allocated, b.peak_allocated);
+    EXPECT_EQ(a.stats.num_segments_allocated, b.stats.num_segments_allocated);
   }
 }
 

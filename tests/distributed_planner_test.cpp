@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <fstream>
 #include <limits>
@@ -864,6 +865,91 @@ TEST(PlanRefine, RefineAllReplaysEveryRankedDecomposition) {
   EXPECT_EQ(json.at("stage_counters").at("replays_deduped").as_int(),
             static_cast<std::int64_t>(report.replays_deduped));
   EXPECT_TRUE(json.at("stage_counters").contains("replay_cache_hits"));
+}
+
+/// Counts the allocator towers a replay prepares: one construction or one
+/// backend_reset() per MemorySimulator::replay.
+std::atomic<std::int64_t> g_towers_prepared{0};
+
+class CountingBackend : public fw::AllocatorBackend {
+ public:
+  CountingBackend(alloc::SimulatedCudaDriver& driver,
+                  const alloc::BackendKnobs& knobs)
+      : inner_(alloc::make_backend("pytorch", driver, knobs)) {
+    ++g_towers_prepared;
+  }
+  std::string_view backend_name() const override { return "counting"; }
+  fw::BackendAllocResult backend_alloc(std::int64_t bytes) override {
+    return inner_->backend_alloc(bytes);
+  }
+  void backend_free(std::int64_t id) override { inner_->backend_free(id); }
+  fw::BackendStats backend_stats() const override {
+    return inner_->backend_stats();
+  }
+  std::int64_t backend_round(std::int64_t bytes) const override {
+    return inner_->backend_round(bytes);
+  }
+  void backend_trim() override { inner_->backend_trim(); }
+  void backend_reset() override {
+    ++g_towers_prepared;
+    inner_->backend_reset();
+  }
+
+ private:
+  std::unique_ptr<fw::AllocatorBackend> inner_;
+};
+
+TEST(PlanRefine, RefineReplaysEachDistinctStageOnce) {
+  // A full-search plan repeats stages across hundreds of candidates; each
+  // distinct stage must reach the allocator once. rank_replays counts the
+  // distinct stage sequences, so the replays the refine pass runs (towers
+  // prepared, minus those of the same plan without refinement) must match
+  // it — within 1%, for distinct keys whose sequences coincide.
+  static const bool registered = [] {
+    alloc::register_backend(
+        "counting-pytorch", "pytorch, counting prepared towers (test only)",
+        [](alloc::SimulatedCudaDriver& driver,
+           const alloc::BackendKnobs& knobs)
+            -> std::unique_ptr<fw::AllocatorBackend> {
+          return std::make_unique<CountingBackend>(driver, knobs);
+        });
+    return true;
+  }();
+  ASSERT_TRUE(registered);
+
+  core::PlanRequest request;
+  request.job.model_name = "VGG16";
+  request.job.batch_size = 256;
+  request.job.optimizer = fw::OptimizerKind::kSgd;
+  request.job.seed = 11;
+  request.devices = {gpu::rtx3060(), gpu::rtx4060(), gpu::a100_40gb()};
+  request.max_gpus = 64;
+  request.allocator = "counting-pytorch";
+  core::ServiceOptions serial;
+  serial.threads = 1;
+  serial.result_cache_capacity = 0;
+  const auto towers_for = [&](const core::PlanRequest& plan_request,
+                              core::PlanReport& report) {
+    core::EstimationService service(serial);
+    const std::int64_t before = g_towers_prepared.load();
+    report = service.plan(plan_request);
+    return g_towers_prepared.load() - before;
+  };
+
+  core::PlanReport unrefined;
+  request.refine_top_k = 0;
+  const std::int64_t baseline = towers_for(request, unrefined);
+  EXPECT_EQ(unrefined.rank_replays_run, 0u);
+
+  core::PlanReport refined;
+  request.refine_all = true;
+  const std::int64_t replays = towers_for(request, refined) - baseline;
+  const auto distinct = static_cast<std::int64_t>(refined.rank_replays_run);
+  ASSERT_GT(distinct, 0);
+  EXPECT_GT(refined.replay_cache_hits, 0u);
+  EXPECT_GE(replays, distinct);
+  EXPECT_LE(replays * 100, distinct * 101)
+      << replays << " replays for " << distinct << " distinct stages";
 }
 
 // ---------- DDP bucket knob ----------

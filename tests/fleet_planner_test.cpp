@@ -15,6 +15,7 @@
 //   * request JSON round-trips and malformed documents name the bad field.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -163,6 +164,45 @@ TEST(FleetPack, RejectNamesTheReasonWhenNothingFits) {
   EXPECT_NE(report.verdicts[0].reason.find("max_gpus_per_job"),
             std::string::npos);
   EXPECT_EQ(report.stats.rejected, 1);
+}
+
+TEST(FleetHeadroom, HugeHeadroomSaturatesAndNeverAdmits) {
+  // Headroom rules at the top of the schema's ranges must not wrap a demand
+  // negative: predicted peak + headroom saturates at INT64_MAX, which no
+  // GPU admits — on the single-GPU path and on the split fallback alike.
+  constexpr std::int64_t kMaxBytes = std::numeric_limits<std::int64_t>::max();
+  std::vector<sched::HeadroomPolicy> policies(4);
+  policies[0].base.percent = 2000000000;
+  policies[1].base.absolute_bytes = kMaxBytes;
+  policies[2].base.percent = std::numeric_limits<int>::max();
+  policies[2].base.absolute_bytes = kMaxBytes;
+  policies[3].per_device[gpu::rtx3060().name].absolute_bytes = kMaxBytes;
+
+  core::EstimationService service;
+  for (const char* policy : {"first-fit", "best-fit-decreasing"}) {
+    for (std::size_t i = 0; i < policies.size(); ++i) {
+      sched::FleetRequest request;
+      request.jobs = {
+          fleet_job("llm", make_job("distilgpt2", 10,
+                                    fw::OptimizerKind::kAdamW)),
+          fleet_job("cnn",
+                    make_job("MobileNetV2", 300, fw::OptimizerKind::kSgd))};
+      request.pools = {{gpu::rtx3060(), 2}};
+      request.policy = policy;
+      request.max_gpus_per_job = 2;
+      request.headroom = policies[i];
+      const sched::FleetReport report = service.fleet(request);
+      EXPECT_EQ(report.stats.admitted, 0) << policy << " rule " << i;
+      for (const sched::JobVerdict& verdict : report.verdicts) {
+        EXPECT_NE(verdict.verdict, sched::Verdict::kAdmit)
+            << policy << " rule " << i << " " << verdict.id;
+        EXPECT_GE(verdict.headroom_bytes, 0) << policy << " rule " << i;
+        EXPECT_GE(verdict.demand_bytes, verdict.predicted_peak)
+            << policy << " rule " << i;
+        EXPECT_GT(verdict.predicted_peak, 0) << policy << " rule " << i;
+      }
+    }
+  }
 }
 
 TEST(FleetPack, PriorityOutranksQueuePosition) {

@@ -21,6 +21,7 @@
 #include <numeric>
 #include <random>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "core/profile_session.h"
@@ -455,12 +456,11 @@ TEST(SequenceTransform, EventsOnlyModeMatchesMaterializedEvents) {
 // ---------- sequence fingerprints ----------
 
 TEST(SequenceFingerprint, EqualFingerprintsImplyEqualEventStreams) {
-  // The dedup property the refine pass leans on, checked over seeded random
+  // The property the refine counters lean on, checked over seeded random
   // transforms: whenever two transformed sequences fingerprint alike, their
-  // event vectors are byte-equal (and the planner's collision guard — the
-  // full compare — would accept the shared verdict). The converse holds on
-  // this corpus too: distinct event streams never collide here, so the
-  // fingerprint actually discriminates instead of hashing everything alike.
+  // event vectors are byte-equal. The converse holds on this corpus too:
+  // distinct event streams never collide here, so the fingerprint actually
+  // discriminates instead of hashing everything alike.
   const OrchestratedSequence base = base_sequence();
   const auto profiles = base_profiles();
   const SequenceTransformer transformer(base, profiles);
@@ -525,6 +525,169 @@ TEST(SequenceFingerprint, SensitiveToEveryEventField) {
   mutated = sequence;
   mutated.events.pop_back();
   EXPECT_NE(core::sequence_fingerprint(mutated), original);
+}
+
+// ---------- stage keys and the sort-free merge ----------
+
+/// One seeded random transform: the fixed per-plan options, then the
+/// per-stage inputs (d, t, collective mode, partition, rank).
+struct Trial {
+  RankTransformOptions options;
+  const std::vector<PipelineStage>* chunks = nullptr;
+  std::size_t ranks = 1;
+  std::size_t rank = 0;
+};
+
+Trial random_trial(std::mt19937& rng,
+                   const std::vector<std::vector<PipelineStage>>& partitions) {
+  Trial trial;
+  RankTransformOptions& options = trial.options;
+  options.micro_batches = 1 + static_cast<int>(rng() % 2) * 3;
+  options.zero = static_cast<ZeroStage>(rng() % 4);
+  options.inject_collectives = (rng() % 4) != 0;
+  options.ddp_bucket_bytes = (rng() % 2) == 0 ? 600 : 4096;
+  options.data_parallel = 1 << (rng() % 3);
+  options.tensor_parallel = 1 << (rng() % 3);
+  options.comm_overlap = (rng() % 2) == 0;
+  options.materialize_blocks = (rng() % 2) == 0;
+  trial.chunks = &partitions[rng() % partitions.size()];
+  trial.ranks = std::max<std::size_t>(trial.chunks->size(), 1);
+  if (trial.ranks > 1 && rng() % 3 == 0) --trial.ranks;  // interleaved
+  trial.rank = rng() % trial.ranks;
+  return trial;
+}
+
+bool same_fixed_options(const RankTransformOptions& a,
+                        const RankTransformOptions& b) {
+  return a.micro_batches == b.micro_batches && a.zero == b.zero &&
+         a.inject_collectives == b.inject_collectives &&
+         a.ddp_bucket_bytes == b.ddp_bucket_bytes;
+}
+
+/// Over `trials` random transforms of `base`: equal stage keys under equal
+/// fixed options always give equal event vectors, and every output is
+/// already in orchestrated_event_order. Returns how many pairs of
+/// differently-asked trials shared a key.
+std::size_t check_stage_keys(
+    const OrchestratedSequence& base,
+    const std::vector<ComponentProfile>& profiles,
+    const std::vector<std::vector<PipelineStage>>& partitions, int trials,
+    std::uint32_t seed) {
+  const SequenceTransformer transformer(base, profiles);
+  std::mt19937 rng(seed);
+  struct Seen {
+    Trial trial;
+    core::StageKey key;
+    std::vector<OrchestratedEvent> events;
+  };
+  std::vector<Seen> seen;
+  std::size_t shared = 0;
+  RankScratch scratch;  // reused across trials, as the refine pass does
+  for (int i = 0; i < trials; ++i) {
+    const Trial trial = random_trial(rng, partitions);
+    core::StageKey key = transformer.stage_key(trial.options, *trial.chunks,
+                                               trial.ranks, trial.rank);
+    const OrchestratedSequence& out = transformer.rank_sequence(
+        trial.options, *trial.chunks, trial.ranks, trial.rank, scratch);
+    EXPECT_EQ(&out, &transformer.rank_sequence(trial.options, key, scratch));
+
+    std::vector<OrchestratedEvent> sorted = out.events;
+    std::sort(sorted.begin(), sorted.end(), core::orchestrated_event_order);
+    EXPECT_EQ(sorted, out.events) << "trial " << i << ": merge broke order";
+
+    for (const Seen& earlier : seen) {
+      if (!same_fixed_options(earlier.trial.options, trial.options) ||
+          earlier.key != key) {
+        continue;
+      }
+      EXPECT_EQ(earlier.events, out.events)
+          << "trial " << i << ": equal stage keys, different sequences";
+      const bool same_question =
+          earlier.trial.chunks == trial.chunks &&
+          earlier.trial.ranks == trial.ranks &&
+          earlier.trial.rank == trial.rank &&
+          earlier.trial.options.data_parallel == trial.options.data_parallel &&
+          earlier.trial.options.tensor_parallel ==
+              trial.options.tensor_parallel &&
+          earlier.trial.options.comm_overlap == trial.options.comm_overlap;
+      if (!same_question) ++shared;
+    }
+    seen.push_back({trial, std::move(key), out.events});
+  }
+  return shared;
+}
+
+std::vector<std::vector<PipelineStage>> hand_partitions() {
+  return {
+      {},
+      {chunk(0, 3)},
+      {chunk(0, 1), chunk(2, 3)},
+      {chunk(0, 0), chunk(1, 1), chunk(2, 3)},
+      {chunk(0, 0), chunk(1, 1), chunk(2, 2), chunk(3, 3)},
+      // Embedding.0 and Norm.3 sit outside every chunk: they ride chunk 0.
+      {chunk(1, 1), chunk(2, 2)},
+  };
+}
+
+TEST(StageKey, EqualKeysGiveEqualSequencesAndMergesKeepTheOrder) {
+  const std::size_t shared = check_stage_keys(
+      base_sequence(), base_profiles(), hand_partitions(), 600, 20251019);
+  // The corpus must reach the interesting branch: different (d, t, mode,
+  // partition, rank) questions that reduce to one key.
+  EXPECT_GT(shared, 0u);
+}
+
+TEST(StageKey, RealProfileKeysAreExactAndMergesKeepTheOrder) {
+  core::ProfileKey key;
+  key.model_name = "distilgpt2";
+  key.batch_size = 2;
+  key.optimizer = fw::OptimizerKind::kAdamW;
+  key.profile_iterations = 2;
+  key.json_round_trip = false;
+  const core::ProfileArtifacts artifacts = core::run_profile_pipeline(key);
+  const std::vector<ComponentProfile> profiles =
+      core::per_component_profile(artifacts.analysis.timeline);
+  const std::size_t n = profiles.size();
+  ASSERT_GT(n, 6u);
+  const std::vector<std::vector<PipelineStage>> partitions = {
+      {},
+      {chunk(0, n / 2), chunk(n / 2 + 1, n - 1)},
+      {chunk(0, n / 4), chunk(n / 4 + 1, n / 2), chunk(n / 2 + 1, n - 1)},
+      {chunk(1, n / 2), chunk(n / 2 + 1, n - 2)},  // ends outside
+  };
+  check_stage_keys(artifacts.orchestration.sequence, profiles, partitions,
+                   80, 7);
+}
+
+TEST(StageKey, KeyDropsTheModeWhenNoCollectiveIsInjected) {
+  const OrchestratedSequence base = base_sequence();
+  const auto profiles = base_profiles();
+  const SequenceTransformer transformer(base, profiles);
+  RankTransformOptions options;
+  options.comm_overlap = true;
+  EXPECT_FALSE(transformer.stage_key(options, {}, 1, 0).comm_overlap);
+  options.data_parallel = 2;
+  EXPECT_TRUE(transformer.stage_key(options, {}, 1, 0).comm_overlap);
+  options.inject_collectives = false;
+  EXPECT_FALSE(transformer.stage_key(options, {}, 1, 0).comm_overlap);
+
+  // Off-rank components read 0, on-rank ones their in-flight count; the
+  // trailing entry is the unattributed blocks' chunk 0.
+  options.micro_batches = 4;
+  const core::StageKey rank1 = transformer.stage_key(
+      options, {chunk(0, 1), chunk(2, 3)}, 2, 1);
+  EXPECT_EQ(rank1.in_flight, (std::vector<std::int32_t>{0, 0, 1, 1, 0}));
+  const core::StageKey rank0 = transformer.stage_key(
+      options, {chunk(0, 1), chunk(2, 3)}, 2, 0);
+  EXPECT_EQ(rank0.in_flight, (std::vector<std::int32_t>{2, 2, 0, 0, 2}));
+
+  // A key from another transformer is refused, not misread.
+  const std::vector<ComponentProfile> fewer(profiles.begin(),
+                                            profiles.end() - 1);
+  const SequenceTransformer other(base, fewer);
+  RankScratch scratch;
+  EXPECT_THROW(other.rank_sequence(options, rank0, scratch),
+               std::invalid_argument);
 }
 
 // ---------- real profiled sequence through the allocator tower ----------

@@ -124,6 +124,27 @@ else
 fi
 rm -f "${sweep_actual}"
 
+# --- xmem sweep curve smoke ------------------------------------------------
+# The report branches the sweep golden does not reach: a reserved_curve per
+# entry (curve: true) and a supported=false entry (LLMem on a CNN).
+
+curve_golden="${FIXTURE_DIR}/sweep_report_curve.json"
+curve_actual="$(mktemp)"
+"${BUILD_DIR}/src/xmem_cli" sweep "${FIXTURE_DIR}/sweep_request_curve.json" \
+  --no-timings > "${curve_actual}"
+if [[ "${UPDATE_GOLDENS}" == "1" ]]; then
+  cp "${curve_actual}" "${curve_golden}"
+  echo "updated ${curve_golden}"
+elif ! diff -u "${curve_golden}" "${curve_actual}" > /dev/null; then
+  echo "SWEEP CURVE SMOKE MISMATCH: report schema or payload changed" >&2
+  diff -u "${curve_golden}" "${curve_actual}" >&2 || true
+  echo "If intentional, regenerate: ci/build_and_test.sh --update-goldens" >&2
+  GOLDEN_FAILED=1
+else
+  echo "sweep curve smoke ok"
+fi
+rm -f "${curve_actual}"
+
 # --- xmem plan smoke -------------------------------------------------------
 
 plan_golden="${FIXTURE_DIR}/plan_report.json"

@@ -74,7 +74,7 @@ struct RefineTopK {
     out.refine_all = value.is_string() && value.as_string() == "all";
     if (!out.refine_all) schema::Int::read(value, out.refine_top_k, at, info);
   }
-  static util::Json write(const PlanRequest& in) {
+  static util::Json write(const PlanRequest& in, bool) {
     return in.refine_all ? util::Json("all") : util::Json(in.refine_top_k);
   }
 };
@@ -137,7 +137,7 @@ void DeviceCodec::read(const util::Json& value, gpu::DeviceModel& out,
   }
 }
 
-util::Json DeviceCodec::write(const gpu::DeviceModel& device) {
+util::Json DeviceCodec::write(const gpu::DeviceModel& device, bool) {
   return schema::Obj<kDeviceSchema>::write(device);
 }
 
@@ -152,51 +152,11 @@ void AllocatorConfigCodec::read(
 }
 
 util::Json AllocatorConfigCodec::write(
-    const std::map<std::string, alloc::BackendKnobs>& config) {
+    const std::map<std::string, alloc::BackendKnobs>& config, bool) {
   return schema::Dict<schema::Dict<schema::Int>>::write(config);
 }
 
-TrainJob job_from_json(const util::Json& json) {
-  return schema::parse(json, {"job", &kSweepRoot}, kJobSchema);
-}
-
-util::Json job_to_json(const TrainJob& job) { return JobCodec::write(job); }
-
-gpu::DeviceModel device_from_json(const util::Json& json) {
-  gpu::DeviceModel device;
-  DeviceCodec::read(json, device, {"devices", &kSweepRoot}, {});
-  return device;
-}
-
-util::Json devices_to_json(const std::vector<gpu::DeviceModel>& devices) {
-  return Devices::write(devices);
-}
-
-std::map<std::string, alloc::BackendKnobs> allocator_config_from_json(
-    const util::Json& json, const std::string& context) {
-  std::map<std::string, alloc::BackendKnobs> config;
-  const schema::Path root{context.c_str()};
-  AllocatorConfigCodec::read(json, config, {"allocator_config", &root}, {});
-  return config;
-}
-
-util::Json allocator_config_to_json(
-    const std::map<std::string, alloc::BackendKnobs>& config) {
-  return AllocatorConfigCodec::write(config);
-}
-
 namespace {
-
-util::Json timings_to_json(const StageTimings& timings) {
-  util::Json json = util::Json::object();
-  json["profile_seconds"] = util::Json(timings.profile_seconds);
-  json["analyze_seconds"] = util::Json(timings.analyze_seconds);
-  json["simulate_seconds"] = util::Json(timings.simulate_seconds);
-  json["total_seconds"] = util::Json(timings.total_seconds);
-  json["profile_cache_hit"] = util::Json(timings.profile_cache_hit);
-  json["result_cache_hit"] = util::Json(timings.result_cache_hit);
-  return json;
-}
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -275,21 +235,197 @@ void sort_best_first(std::vector<PlanCandidate>& candidates, std::size_t count,
             });
 }
 
-using Peaks = schema::List<schema::Int>;
+// --- report tables (write-only; docs/API.md "Report fields") ----------------
 
-util::Json fits_to_json(const std::vector<gpu::DeviceModel>& devices,
-                        const std::vector<bool>& fits) {
-  util::Json verdicts = util::Json::array();
-  for (std::size_t i = 0; i < devices.size() && i < fits.size(); ++i) {
-    util::Json verdict = util::Json::object();
-    verdict["device"] = util::Json(devices[i].name);
-    verdict["fits"] = util::Json(static_cast<bool>(fits[i]));
-    verdicts.push_back(std::move(verdict));
+using schema::Double;
+using schema::emit;
+using schema::Int;
+using schema::kTiming;
+using Peaks = schema::List<Int>;
+
+constexpr schema::Field<StageTimings> kStageTimingsFields[] = {
+    emit<Double, &StageTimings::profile_seconds>("profile_seconds"),
+    emit<Double, &StageTimings::analyze_seconds>("analyze_seconds"),
+    emit<Double, &StageTimings::simulate_seconds>("simulate_seconds"),
+    emit<Double, &StageTimings::total_seconds>("total_seconds"),
+    emit<Bool, &StageTimings::profile_cache_hit>("profile_cache_hit"),
+    emit<Bool, &StageTimings::result_cache_hit>("result_cache_hit"),
+};
+
+constexpr schema::Field<OrchestratorStats> kOrchestratorStatsFields[] = {
+    emit<Int, &OrchestratorStats::params_pinned>("params_pinned"),
+    emit<Int, &OrchestratorStats::batch_truncated>("batch_truncated"),
+    emit<Int, &OrchestratorStats::gradients_retimed>("gradients_retimed"),
+    emit<Int, &OrchestratorStats::optimizer_states_pinned>(
+        "optimizer_states_pinned"),
+};
+
+constexpr auto kIfSupported = &EstimateEntry::supported;
+
+constexpr schema::Field<EstimateEntry> kEntryFields[] = {
+    emit<Str, &EstimateEntry::estimator>("estimator"),
+    emit<Str, &EstimateEntry::device>("device"),
+    emit<Str, &EstimateEntry::allocator>("allocator", kIfChanged),
+    emit<Bool, &EstimateEntry::supported>("supported"),
+    emit<Int, &EstimateEntry::estimated_peak>("estimated_peak_bytes",
+                                              kOptional, kIfSupported),
+    emit<Bool, &EstimateEntry::oom_predicted>("oom_predicted", kOptional,
+                                              kIfSupported),
+    emit<Int, &EstimateEntry::device_job_budget>("device_job_budget_bytes",
+                                                 kOptional, kIfSupported),
+    emit<schema::Obj<kOrchestratorStatsFields>,
+         &EstimateEntry::orchestrator_stats>(
+        "orchestrator_stats", kOptional,
+        &EstimateEntry::has_orchestrator_stats),
+    emit<schema::Obj<kStageTimingsFields>, &EstimateEntry::timings>("timings",
+                                                                    kTiming),
+    emit<schema::List<schema::Pair<Int, Int>>, &EstimateEntry::reserved_curve>(
+        "reserved_curve", kIfChanged),
+};
+
+using Entries = schema::List<schema::Obj<kEntryFields>>;
+
+constexpr schema::Field<EstimateReport> kSweepCounterFields[] = {
+    emit<Int, &EstimateReport::profiles_run>("profiles_run"),
+    emit<Int, &EstimateReport::profile_cache_hits>("profile_cache_hits"),
+    emit<Int, &EstimateReport::replays_run>("replays_run"),
+    emit<Int, &EstimateReport::result_cache_hits>("result_cache_hits"),
+};
+
+constexpr schema::Field<EstimateReport> kSweepReportFields[] = {
+    schema::constant<EstimateReport, 1>("schema_version"),
+    emit<JobCodec, &EstimateReport::job>("job"),
+    emit<Entries, &EstimateReport::entries>("entries"),
+    schema::group<EstimateReport, kSweepCounterFields>("stage_counters"),
+    emit<Double, &EstimateReport::wall_seconds>("wall_seconds", kTiming),
+};
+
+constexpr schema::Field<PipelineStage> kStageFields[] = {
+    emit<Int, &PipelineStage::first_component>("first_component"),
+    emit<Int, &PipelineStage::last_component>("last_component"),
+    emit<Int, &PipelineStage::estimated_peak>("peak_bytes"),
+};
+
+/// One per-device verdict as a plan report writes it; see write_candidates.
+struct DeviceFit {
+  std::string device;
+  bool fits = false;
+};
+
+constexpr schema::Field<DeviceFit> kDeviceFitFields[] = {
+    emit<Str, &DeviceFit::device>("device"),
+    emit<Bool, &DeviceFit::fits>("fits"),
+};
+
+constexpr auto kIfWindowMode = &PlanCandidate::window_mode;
+
+/// A refined candidate's `replay` object, next to its `fits`.
+constexpr schema::Field<PlanCandidate> kReplayFields[] = {
+    emit<Peaks, &PlanCandidate::replayed_rank_peaks>("rank_peaks_bytes"),
+    emit<Int, &PlanCandidate::replayed_per_rank_peak>("per_rank_peak_bytes"),
+    emit<Int, &PlanCandidate::analytic_vs_replayed_pct>(
+        "analytic_vs_replayed_pct"),
+    emit<Bool, &PlanCandidate::verdict_changed>("verdict_changed"),
+    // Overlap-window refinement keeps the resident baseline next to the
+    // window-mode peaks; resident-mode reports never carry these keys.
+    emit<Peaks, &PlanCandidate::resident_rank_peaks>(
+        "resident_rank_peaks_bytes", kOptional, kIfWindowMode),
+    emit<Int, &PlanCandidate::resident_per_rank_peak>(
+        "resident_per_rank_peak_bytes", kOptional, kIfWindowMode),
+    emit<Int, &PlanCandidate::window_vs_resident_pct>(
+        "window_vs_resident_pct", kOptional, kIfWindowMode),
+};
+
+constexpr schema::Field<PlanCandidate> kCandidateFields[] = {
+    emit<Int, &PlanCandidate::plan, &HybridPlan::data_parallel>(
+        "data_parallel"),
+    emit<Int, &PlanCandidate::plan, &HybridPlan::tensor_parallel>(
+        "tensor_parallel"),
+    emit<Int, &PlanCandidate::plan, &HybridPlan::pipeline_stages>(
+        "pipeline_stages"),
+    emit<Int, &PlanCandidate::plan, &HybridPlan::gpus>("gpus"),
+    emit<Int, &PlanCandidate::plan, &HybridPlan::per_rank_peak>(
+        "per_rank_peak_bytes"),
+    emit<Int, &PlanCandidate::savings_pct>("savings_pct"),
+    emit<Bool, &PlanCandidate::splitting_helps>("splitting_helps"),
+    emit<Peaks, &PlanCandidate::plan, &HybridPlan::rank_peaks>(
+        "rank_peaks_bytes"),
+    emit<schema::List<schema::Obj<kStageFields>>, &PlanCandidate::plan,
+         &HybridPlan::stages>("stages"),
+    emit<Bool, &PlanCandidate::replayed>("replayed"),
+    schema::group<PlanCandidate, kReplayFields>("replay",
+                                                &PlanCandidate::replayed),
+};
+
+/// The plan report's `candidates`. A candidate's `fits` (and its replay's)
+/// pair PlanReport::devices with the candidate's verdicts, so they are
+/// added here rather than copied into every candidate inside plan().
+util::Json write_candidates(const PlanReport& report, bool timings) {
+  const auto fits = [&report](const std::vector<bool>& verdicts) {
+    std::vector<DeviceFit> pairs;
+    for (std::size_t i = 0; i < report.devices.size() && i < verdicts.size();
+         ++i) {
+      pairs.push_back({report.devices[i].name, verdicts[i]});
+    }
+    return schema::List<schema::Obj<kDeviceFitFields>>::write(pairs);
+  };
+  util::Json candidates = util::Json::array();
+  for (const PlanCandidate& candidate : report.candidates) {
+    util::Json json = schema::write_object<PlanCandidate>(
+        candidate, kCandidateFields, timings);
+    json["fits"] = fits(candidate.device_fits);
+    if (candidate.replayed) {
+      json["replay"]["fits"] = fits(candidate.replayed_device_fits);
+    }
+    candidates.push_back(std::move(json));
   }
-  return verdicts;
+  return candidates;
 }
 
+constexpr auto kIfOverlap = &PlanReport::comm_overlap;
+
+constexpr schema::Field<PlanReport> kSingleDeviceFields[] = {
+    emit<Int, &PlanReport::single_device_peak>("analytic_peak_bytes"),
+    emit<Entries, &PlanReport::single_device_entries>("entries"),
+};
+
+constexpr schema::Field<PlanReport> kPlanCounterFields[] = {
+    emit<Int, &PlanReport::profiles_run>("profiles_run"),
+    emit<Int, &PlanReport::profile_cache_hits>("profile_cache_hits"),
+    emit<Int, &PlanReport::replays_run>("replays_run"),
+    emit<Int, &PlanReport::replayed_candidates>("replayed_candidates"),
+    emit<Int, &PlanReport::rank_replays_run>("rank_replays"),
+    emit<Int, &PlanReport::replays_deduped>("replays_deduped"),
+    emit<Int, &PlanReport::replay_cache_hits>("replay_cache_hits"),
+    emit<Int, &PlanReport::rerank_changed>("rerank_changed", kOptional,
+                                           kIfOverlap),
+    emit<Int, &PlanReport::result_cache_hits>("result_cache_hits"),
+};
+
+constexpr schema::Field<PlanReport> kPlanReportFields[] = {
+    schema::constant<PlanReport, 1>("schema_version"),
+    // Written only when set, so resident-mode reports stay byte-identical.
+    emit<Bool, &PlanReport::comm_overlap>("comm_overlap", kOptional,
+                                          kIfOverlap),
+    emit<JobCodec, &PlanReport::job>("job"),
+    schema::group<PlanReport, kSingleDeviceFields>("single_device"),
+    {{"candidates", nullptr}, nullptr, &write_candidates},
+    emit<Int, &PlanReport::candidates_evaluated>("candidates_evaluated"),
+    schema::group<PlanReport, kPlanCounterFields>("stage_counters"),
+    emit<Double, &PlanReport::wall_seconds>("wall_seconds", kTiming),
+};
+
 }  // namespace
+
+std::vector<std::vector<schema::FieldInfo>> report_tables() {
+  using schema::infos;
+  return {infos(kStageTimingsFields), infos(kOrchestratorStatsFields),
+          infos(kEntryFields),        infos(kSweepCounterFields),
+          infos(kSweepReportFields),  infos(kStageFields),
+          infos(kDeviceFitFields),    infos(kReplayFields),
+          infos(kCandidateFields),    infos(kSingleDeviceFields),
+          infos(kPlanCounterFields),  infos(kPlanReportFields)};
+}
 
 EstimateRequest EstimateRequest::from_json(const util::Json& json) {
   return schema::parse(json, kSweepRoot, kSweepSchema);
@@ -309,62 +445,13 @@ EstimateResult EstimateEntry::to_result() const {
 }
 
 util::Json EstimateEntry::to_json(bool include_timings) const {
-  util::Json json = util::Json::object();
-  json["estimator"] = util::Json(estimator);
-  json["device"] = util::Json(device);
-  if (!allocator.empty()) json["allocator"] = util::Json(allocator);
-  json["supported"] = util::Json(supported);
-  if (supported) {
-    json["estimated_peak_bytes"] = util::Json(estimated_peak);
-    json["oom_predicted"] = util::Json(oom_predicted);
-    json["device_job_budget_bytes"] = util::Json(device_job_budget);
-  }
-  if (has_orchestrator_stats) {
-    util::Json stats = util::Json::object();
-    stats["params_pinned"] =
-        util::Json(static_cast<std::int64_t>(orchestrator_stats.params_pinned));
-    stats["batch_truncated"] = util::Json(
-        static_cast<std::int64_t>(orchestrator_stats.batch_truncated));
-    stats["gradients_retimed"] = util::Json(
-        static_cast<std::int64_t>(orchestrator_stats.gradients_retimed));
-    stats["optimizer_states_pinned"] = util::Json(static_cast<std::int64_t>(
-        orchestrator_stats.optimizer_states_pinned));
-    json["orchestrator_stats"] = std::move(stats);
-  }
-  if (include_timings) json["timings"] = timings_to_json(timings);
-  if (!reserved_curve.empty()) {
-    util::Json curve = util::Json::array();
-    for (const auto& [ts, bytes] : reserved_curve) {
-      util::Json point = util::Json::array();
-      point.push_back(util::Json(ts));
-      point.push_back(util::Json(bytes));
-      curve.push_back(std::move(point));
-    }
-    json["reserved_curve"] = std::move(curve);
-  }
-  return json;
+  return schema::write_object<EstimateEntry>(*this, kEntryFields,
+                                            include_timings);
 }
 
 util::Json EstimateReport::to_json(bool include_timings) const {
-  util::Json json = util::Json::object();
-  json["schema_version"] = util::Json(1);
-  json["job"] = job_to_json(job);
-  util::Json entry_array = util::Json::array();
-  for (const EstimateEntry& entry : entries) {
-    entry_array.push_back(entry.to_json(include_timings));
-  }
-  json["entries"] = std::move(entry_array);
-  util::Json counters = util::Json::object();
-  counters["profiles_run"] =
-      util::Json(static_cast<std::int64_t>(profiles_run));
-  counters["profile_cache_hits"] =
-      util::Json(static_cast<std::int64_t>(profile_cache_hits));
-  counters["replays_run"] = util::Json(static_cast<std::int64_t>(replays_run));
-  counters["result_cache_hits"] =
-      util::Json(static_cast<std::int64_t>(result_cache_hits));
-  json["stage_counters"] = std::move(counters);
-  if (include_timings) json["wall_seconds"] = util::Json(wall_seconds);
-  return json;
+  return schema::write_object<EstimateReport>(*this, kSweepReportFields,
+                                             include_timings);
 }
 
 PlanRequest PlanRequest::from_json(const util::Json& json) {
@@ -375,96 +462,9 @@ util::Json PlanRequest::to_json() const {
   return schema::write_object(*this, kPlanSchema);
 }
 
-util::Json PlanCandidate::to_json(
-    const std::vector<gpu::DeviceModel>& devices) const {
-  util::Json json = util::Json::object();
-  json["data_parallel"] = util::Json(plan.data_parallel);
-  json["tensor_parallel"] = util::Json(plan.tensor_parallel);
-  json["pipeline_stages"] = util::Json(plan.pipeline_stages);
-  json["gpus"] = util::Json(plan.gpus);
-  json["per_rank_peak_bytes"] = util::Json(plan.per_rank_peak);
-  json["savings_pct"] = util::Json(savings_pct);
-  json["splitting_helps"] = util::Json(splitting_helps);
-  json["rank_peaks_bytes"] = Peaks::write(plan.rank_peaks);
-  util::Json stages = util::Json::array();
-  for (const PipelineStage& stage : plan.stages) {
-    util::Json entry = util::Json::object();
-    entry["first_component"] =
-        util::Json(static_cast<std::int64_t>(stage.first_component));
-    entry["last_component"] =
-        util::Json(static_cast<std::int64_t>(stage.last_component));
-    entry["peak_bytes"] = util::Json(stage.estimated_peak);
-    stages.push_back(std::move(entry));
-  }
-  json["stages"] = std::move(stages);
-  json["fits"] = fits_to_json(devices, device_fits);
-  json["replayed"] = util::Json(replayed);
-  if (replayed) {
-    util::Json replay = util::Json::object();
-    replay["rank_peaks_bytes"] = Peaks::write(replayed_rank_peaks);
-    replay["per_rank_peak_bytes"] = util::Json(replayed_per_rank_peak);
-    replay["analytic_vs_replayed_pct"] = util::Json(analytic_vs_replayed_pct);
-    replay["fits"] = fits_to_json(devices, replayed_device_fits);
-    replay["verdict_changed"] = util::Json(verdict_changed);
-    if (window_mode) {
-      // Overlap-window refinement: the peaks above are window-mode; keep
-      // the resident baseline next to them (these keys only appear under
-      // comm_overlap, so resident-mode reports stay byte-identical).
-      replay["resident_rank_peaks_bytes"] = Peaks::write(resident_rank_peaks);
-      replay["resident_per_rank_peak_bytes"] =
-          util::Json(resident_per_rank_peak);
-      replay["window_vs_resident_pct"] = util::Json(window_vs_resident_pct);
-    }
-    json["replay"] = std::move(replay);
-  }
-  return json;
-}
-
 util::Json PlanReport::to_json(bool include_timings) const {
-  util::Json json = util::Json::object();
-  json["schema_version"] = util::Json(1);
-  // Emitted only when set, so resident-mode reports stay byte-identical.
-  if (comm_overlap) json["comm_overlap"] = util::Json(true);
-  json["job"] = job_to_json(job);
-  util::Json single = util::Json::object();
-  single["analytic_peak_bytes"] = util::Json(single_device_peak);
-  util::Json entry_array = util::Json::array();
-  for (const EstimateEntry& entry : single_device_entries) {
-    entry_array.push_back(entry.to_json(include_timings));
-  }
-  single["entries"] = std::move(entry_array);
-  json["single_device"] = std::move(single);
-  util::Json candidate_array = util::Json::array();
-  for (const PlanCandidate& candidate : candidates) {
-    candidate_array.push_back(candidate.to_json(devices));
-  }
-  json["candidates"] = std::move(candidate_array);
-  json["candidates_evaluated"] =
-      util::Json(static_cast<std::int64_t>(candidates_evaluated));
-  util::Json counters = util::Json::object();
-  counters["profiles_run"] =
-      util::Json(static_cast<std::int64_t>(profiles_run));
-  counters["profile_cache_hits"] =
-      util::Json(static_cast<std::int64_t>(profile_cache_hits));
-  counters["replays_run"] = util::Json(static_cast<std::int64_t>(replays_run));
-  counters["replayed_candidates"] =
-      util::Json(static_cast<std::int64_t>(replayed_candidates));
-  counters["rank_replays"] =
-      util::Json(static_cast<std::int64_t>(rank_replays_run));
-  counters["replays_deduped"] =
-      util::Json(static_cast<std::int64_t>(replays_deduped));
-  counters["replay_cache_hits"] =
-      util::Json(static_cast<std::int64_t>(replay_cache_hits));
-  if (comm_overlap) {
-    // Only under comm_overlap, so resident-mode reports stay byte-identical.
-    counters["rerank_changed"] =
-        util::Json(static_cast<std::int64_t>(rerank_changed));
-  }
-  counters["result_cache_hits"] =
-      util::Json(static_cast<std::int64_t>(result_cache_hits));
-  json["stage_counters"] = std::move(counters);
-  if (include_timings) json["wall_seconds"] = util::Json(wall_seconds);
-  return json;
+  return schema::write_object<PlanReport>(*this, kPlanReportFields,
+                                         include_timings);
 }
 
 // ---------------------------------------------------------------------------
@@ -522,7 +522,6 @@ ProfileSession::Lookup EstimationService::lookup_profile(
   key.placement = job.placement;
   key.seed = job.seed;
   key.profile_iterations = profile_iterations;
-  key.json_round_trip = options_.json_round_trip;
   if (orchestrate) {
     key.orchestrator_config = options_.orchestrator_config;
   } else {

@@ -61,7 +61,7 @@ struct DeviceCodec {
   static void read(const util::Json& value, gpu::DeviceModel& out,
                    const util::schema::Path& at,
                    const util::schema::FieldInfo& info);
-  static util::Json write(const gpu::DeviceModel& device);
+  static util::Json write(const gpu::DeviceModel& device, bool = true);
 };
 /// Backend name -> knob object, each read by alloc::parse_backend_knobs.
 struct AllocatorConfigCodec {
@@ -72,19 +72,9 @@ struct AllocatorConfigCodec {
                    const util::schema::Path& at,
                    const util::schema::FieldInfo& info);
   static util::Json write(
-      const std::map<std::string, alloc::BackendKnobs>& config);
+      const std::map<std::string, alloc::BackendKnobs>& config, bool = true);
 };
 
-/// Shared request-schema JSON helpers over the codecs above. All parsers
-/// throw std::invalid_argument on bad input.
-TrainJob job_from_json(const util::Json& json);
-util::Json job_to_json(const TrainJob& job);
-gpu::DeviceModel device_from_json(const util::Json& json);
-util::Json devices_to_json(const std::vector<gpu::DeviceModel>& devices);
-std::map<std::string, alloc::BackendKnobs> allocator_config_from_json(
-    const util::Json& json, const std::string& context);
-util::Json allocator_config_to_json(
-    const std::map<std::string, alloc::BackendKnobs>& config);
 /// Fail fast on unknown backend names / knob names / out-of-range values,
 /// surfacing the backend's own actionable message.
 void validate_allocator_config(
@@ -286,9 +276,8 @@ struct PlanCandidate {
   /// the overlap windows shrink the collective footprint — the expected
   /// direction, since every window is bounded by its resident buffer).
   int window_vs_resident_pct = 0;
-
-  util::Json to_json(const std::vector<gpu::DeviceModel>& devices) const;
 };
+
 
 /// The answer to a PlanRequest: single-device baseline (analytic + one
 /// simulator replay per candidate device) and the ranked decompositions.
@@ -332,6 +321,10 @@ struct PlanReport {
   util::Json to_json(bool include_timings = true) const;
 };
 
+/// The fields of every sweep and plan report table (write-only tables,
+/// docs/API.md "Report fields"), nested ones included.
+std::vector<std::vector<util::schema::FieldInfo>> report_tables();
+
 struct ServiceOptions {
   /// Worker threads for the sweep fan-out. 0 = hardware default (capped at
   /// 8); 1 = fully serial on the caller's thread (no pool) — byte-identical
@@ -345,7 +338,6 @@ struct ServiceOptions {
   /// Orchestrator configuration for the "xMem" engine ("xMem-noOrch"
   /// always runs with every rule off).
   OrchestratorConfig orchestrator_config;
-  bool json_round_trip = true;
   /// Share a ProfileSession across services/estimators; null = own one.
   std::shared_ptr<ProfileSession> session;
 };

@@ -48,7 +48,9 @@ struct ProfileKey {
   int profile_iterations = 3;
   /// Orchestrator rule set actually applied (all-false = the §3.3 ablation).
   OrchestratorConfig orchestrator_config;
-  /// Serialize + reparse the profiler output (the authentic file-based path).
+  /// Serialize + reparse the profiler output (the authentic file-based
+  /// path). Test hook: off only where a test skips the round trip, which
+  /// Pipeline.JsonRoundTripDoesNotChangeEstimate shows changes nothing.
   bool json_round_trip = true;
 
   /// Canonical cache-key string, e.g.

@@ -108,23 +108,6 @@ const char* to_string(Verdict verdict) {
   return "reject";
 }
 
-FleetJob FleetJob::from_json(const util::Json& json, std::size_t index) {
-  FleetJob fleet_job;
-  FleetJobCodec::read(json, fleet_job, {"jobs", &kFleetRoot, index}, {});
-  return fleet_job;
-}
-
-util::Json FleetJob::to_json() const { return FleetJobCodec::write(*this); }
-
-GpuPool GpuPool::from_json(const util::Json& json,
-                           const std::string& context) {
-  return schema::parse(json, {context.c_str()}, kPoolSchema);
-}
-
-util::Json GpuPool::to_json() const {
-  return schema::write_object(*this, kPoolSchema);
-}
-
 std::int64_t HeadroomPolicy::demand_for(const std::string& device_name,
                                         std::int64_t predicted_peak) const {
   const auto it = per_device.find(device_name);
@@ -141,14 +124,6 @@ std::int64_t HeadroomPolicy::demand_for(const std::string& device_name,
   return demand;
 }
 
-HeadroomPolicy HeadroomPolicy::from_json(const util::Json& json) {
-  return schema::parse(json, {"headroom", &kFleetRoot}, kHeadroomSchema);
-}
-
-util::Json HeadroomPolicy::to_json() const {
-  return schema::write_object(*this, kHeadroomSchema);
-}
-
 FleetRequest FleetRequest::from_json(const util::Json& json) {
   return schema::parse(json, kFleetRoot, kFleetSchema);
 }
@@ -157,117 +132,129 @@ util::Json FleetRequest::to_json() const {
   return schema::write_object(*this, kFleetSchema);
 }
 
-util::Json JobVerdict::to_json() const {
-  util::Json json = util::Json::object();
-  json["id"] = util::Json(id);
-  json["label"] = util::Json(label);
-  json["priority"] = util::Json(priority);
-  json["verdict"] = util::Json(to_string(verdict));
-  json["supported"] = util::Json(supported);
-  if (supported) {
-    json["predicted_peak_bytes"] = util::Json(predicted_peak);
-    json["headroom_bytes"] = util::Json(headroom_bytes);
-    json["demand_bytes"] = util::Json(demand_bytes);
-    json["gpus"] = util::Json(gpus);
-    if (!split.empty()) json["split"] = util::Json(split);
-  }
-  if (!placements.empty()) {
-    util::Json placed = util::Json::array();
-    for (const Placement& placement : placements) {
-      util::Json entry = util::Json::object();
-      entry["pool"] = util::Json(static_cast<std::int64_t>(placement.pool));
-      entry["index"] = util::Json(placement.index);
-      entry["device"] = util::Json(placement.device);
-      entry["committed_bytes"] = util::Json(placement.committed_bytes);
-      placed.push_back(std::move(entry));
-    }
-    json["placements"] = std::move(placed);
-  }
-  if (!reason.empty()) json["reason"] = util::Json(reason);
-  return json;
+// --- report tables (write-only; docs/API.md "Report fields") ----------------
+
+namespace {
+
+using schema::emit;
+using schema::Int;
+using schema::kOptional;
+
+constexpr schema::Field<Placement> kPlacementFields[] = {
+    emit<Int, &Placement::pool>("pool"),
+    emit<Int, &Placement::index>("index"),
+    emit<Str, &Placement::device>("device"),
+    emit<Int, &Placement::committed_bytes>("committed_bytes"),
+};
+
+constexpr auto kIfSupported = &JobVerdict::supported;
+
+constexpr schema::Field<JobVerdict> kVerdictFields[] = {
+    emit<Str, &JobVerdict::id>("id"),
+    emit<Str, &JobVerdict::label>("label"),
+    emit<Int, &JobVerdict::priority>("priority"),
+    emit<schema::Enum<nullptr>, &JobVerdict::verdict>("verdict"),
+    emit<Bool, &JobVerdict::supported>("supported"),
+    emit<Int, &JobVerdict::predicted_peak>("predicted_peak_bytes", kOptional,
+                                           kIfSupported),
+    emit<Int, &JobVerdict::headroom_bytes>("headroom_bytes", kOptional,
+                                           kIfSupported),
+    emit<Int, &JobVerdict::demand_bytes>("demand_bytes", kOptional,
+                                         kIfSupported),
+    emit<Int, &JobVerdict::gpus>("gpus", kOptional, kIfSupported),
+    emit<Str, &JobVerdict::split>("split", kIfChanged, kIfSupported),
+    emit<schema::List<schema::Obj<kPlacementFields>>, &JobVerdict::placements>(
+        "placements", kIfChanged),
+    emit<Str, &JobVerdict::reason>("reason", kIfChanged),
+};
+
+constexpr schema::Field<GpuState> kGpuStateFields[] = {
+    emit<Int, &GpuState::pool>("pool"),
+    emit<Int, &GpuState::index>("index"),
+    emit<Str, &GpuState::device>("device"),
+    emit<Int, &GpuState::budget_bytes>("budget_bytes"),
+    emit<Int, &GpuState::committed_bytes>("committed_bytes"),
+    emit<Int, &GpuState::predicted_bytes>("predicted_bytes"),
+    emit<Int, &GpuState::jobs>("jobs"),
+};
+
+constexpr schema::Field<FleetStats> kFleetStatsFields[] = {
+    emit<Int, &FleetStats::gpus_total>("gpus_total"),
+    emit<Int, &FleetStats::gpus_used>("gpus_used"),
+    emit<Int, &FleetStats::jobs>("jobs"),
+    emit<Int, &FleetStats::admitted>("admitted"),
+    emit<Int, &FleetStats::deferred>("deferred"),
+    emit<Int, &FleetStats::rejected>("rejected"),
+    emit<Int, &FleetStats::distinct_jobs>("distinct_jobs"),
+    emit<Int, &FleetStats::total_budget_bytes>("total_budget_bytes"),
+    emit<Int, &FleetStats::committed_bytes>("committed_bytes"),
+    emit<Int, &FleetStats::predicted_bytes>("predicted_bytes"),
+    emit<Int, &FleetStats::waste_bytes>("waste_bytes"),
+    emit<Int, &FleetStats::utilization_pct>("utilization_pct"),
+    emit<Int, &FleetStats::committed_pct>("committed_pct"),
+    emit<Int, &FleetStats::fragmentation_pct>("fragmentation_pct"),
+};
+
+constexpr schema::Field<FleetCounters> kFleetCounterFields[] = {
+    emit<Int, &FleetCounters::profiles_run>("profiles_run"),
+    emit<Int, &FleetCounters::profile_cache_hits>("profile_cache_hits"),
+    emit<Int, &FleetCounters::replays_run>("replays_run"),
+    emit<Int, &FleetCounters::result_cache_hits>("result_cache_hits"),
+    emit<Int, &FleetCounters::plans_run>("plans_run"),
+    emit<Int, &FleetCounters::estimates_reused>("estimates_reused"),
+    emit<Int, &FleetCounters::pools_repacked>("pools_repacked"),
+};
+
+constexpr schema::Field<WhatIfDelta> kWhatIfFields[] = {
+    emit<Pools, &WhatIfDelta::added_pools>("added_pools"),
+    emit<Int, &WhatIfDelta::admitted_delta>("admitted_delta"),
+    emit<Int, &WhatIfDelta::deferred_delta>("deferred_delta"),
+    emit<Int, &WhatIfDelta::rejected_delta>("rejected_delta"),
+    emit<Int, &WhatIfDelta::utilization_pct_delta>("utilization_pct_delta"),
+    emit<schema::List<Str>, &WhatIfDelta::newly_admitted>("newly_admitted"),
+    emit<schema::Obj<kFleetStatsFields>, &WhatIfDelta::stats_after>(
+        "stats_after"),
+};
+
+/// `what_if` is written only when the request asked for what-if pools.
+util::Json write_what_if(const FleetReport& report, bool timings) {
+  return report.what_if ? schema::write_object<WhatIfDelta>(
+                              *report.what_if, kWhatIfFields, timings)
+                        : util::Json();
 }
 
-util::Json GpuState::to_json() const {
-  util::Json json = util::Json::object();
-  json["pool"] = util::Json(static_cast<std::int64_t>(pool));
-  json["index"] = util::Json(index);
-  json["device"] = util::Json(device);
-  json["budget_bytes"] = util::Json(budget_bytes);
-  json["committed_bytes"] = util::Json(committed_bytes);
-  json["predicted_bytes"] = util::Json(predicted_bytes);
-  json["jobs"] = util::Json(jobs);
-  return json;
+constexpr schema::Field<FleetReport> kFleetReportFields[] = {
+    emit<Str, &FleetReport::policy>("policy"),
+    emit<Pools, &FleetReport::pools>("pools"),
+    emit<schema::List<schema::Obj<kVerdictFields>>, &FleetReport::verdicts>(
+        "verdicts"),
+    emit<schema::List<schema::Obj<kGpuStateFields>>, &FleetReport::gpus>(
+        "gpus"),
+    emit<schema::Obj<kFleetStatsFields>, &FleetReport::stats>("stats"),
+    emit<schema::Obj<kFleetCounterFields>, &FleetReport::counters>(
+        "counters"),
+    {{"what_if", nullptr, kIfChanged}, nullptr, &write_what_if},
+    emit<schema::Double, &FleetReport::wall_seconds>("wall_seconds",
+                                                     schema::kTiming),
+};
+
+}  // namespace
+
+std::vector<std::vector<schema::FieldInfo>> report_tables() {
+  using schema::infos;
+  return {infos(kPlacementFields),    infos(kVerdictFields),
+          infos(kGpuStateFields),     infos(kFleetStatsFields),
+          infos(kFleetCounterFields), infos(kWhatIfFields),
+          infos(kFleetReportFields)};
 }
 
 util::Json FleetStats::to_json() const {
-  util::Json json = util::Json::object();
-  json["gpus_total"] = util::Json(gpus_total);
-  json["gpus_used"] = util::Json(gpus_used);
-  json["jobs"] = util::Json(jobs);
-  json["admitted"] = util::Json(admitted);
-  json["deferred"] = util::Json(deferred);
-  json["rejected"] = util::Json(rejected);
-  json["distinct_jobs"] = util::Json(distinct_jobs);
-  json["total_budget_bytes"] = util::Json(total_budget_bytes);
-  json["committed_bytes"] = util::Json(committed_bytes);
-  json["predicted_bytes"] = util::Json(predicted_bytes);
-  json["waste_bytes"] = util::Json(waste_bytes);
-  json["utilization_pct"] = util::Json(utilization_pct);
-  json["committed_pct"] = util::Json(committed_pct);
-  json["fragmentation_pct"] = util::Json(fragmentation_pct);
-  return json;
-}
-
-util::Json FleetCounters::to_json() const {
-  const auto count = [](std::size_t n) {
-    return util::Json(static_cast<std::int64_t>(n));
-  };
-  util::Json json = util::Json::object();
-  json["profiles_run"] = count(profiles_run);
-  json["profile_cache_hits"] = count(profile_cache_hits);
-  json["replays_run"] = count(replays_run);
-  json["result_cache_hits"] = count(result_cache_hits);
-  json["plans_run"] = count(plans_run);
-  json["estimates_reused"] = count(estimates_reused);
-  json["pools_repacked"] = count(pools_repacked);
-  return json;
-}
-
-util::Json WhatIfDelta::to_json() const {
-  util::Json json = util::Json::object();
-  util::Json added = util::Json::array();
-  for (const GpuPool& pool : added_pools) added.push_back(pool.to_json());
-  json["added_pools"] = std::move(added);
-  json["admitted_delta"] = util::Json(admitted_delta);
-  json["deferred_delta"] = util::Json(deferred_delta);
-  json["rejected_delta"] = util::Json(rejected_delta);
-  json["utilization_pct_delta"] = util::Json(utilization_pct_delta);
-  util::Json ids = util::Json::array();
-  for (const std::string& id : newly_admitted) ids.push_back(util::Json(id));
-  json["newly_admitted"] = std::move(ids);
-  json["stats_after"] = stats_after.to_json();
-  return json;
+  return schema::write_object<FleetStats>(*this, kFleetStatsFields);
 }
 
 util::Json FleetReport::to_json(bool include_timings) const {
-  util::Json json = util::Json::object();
-  json["policy"] = util::Json(policy);
-  util::Json pool_array = util::Json::array();
-  for (const GpuPool& pool : pools) pool_array.push_back(pool.to_json());
-  json["pools"] = std::move(pool_array);
-  util::Json verdict_array = util::Json::array();
-  for (const JobVerdict& verdict : verdicts) {
-    verdict_array.push_back(verdict.to_json());
-  }
-  json["verdicts"] = std::move(verdict_array);
-  util::Json gpu_array = util::Json::array();
-  for (const GpuState& gpu : gpus) gpu_array.push_back(gpu.to_json());
-  json["gpus"] = std::move(gpu_array);
-  json["stats"] = stats.to_json();
-  json["counters"] = counters.to_json();
-  if (what_if.has_value()) json["what_if"] = what_if->to_json();
-  if (include_timings) json["wall_seconds"] = util::Json(wall_seconds);
-  return json;
+  return schema::write_object<FleetReport>(*this, kFleetReportFields,
+                                           include_timings);
 }
 
 // ---------------------------------------------------------------------------
@@ -395,7 +382,7 @@ struct FleetPlanner::Impl {
   /// cache key so a planner reused across requests never serves stale peaks.
   static std::string request_scope(const FleetRequest& request) {
     return request.estimator + "|" + request.allocator + "|" +
-           core::allocator_config_to_json(request.allocator_config).dump() +
+           core::AllocatorConfigCodec::write(request.allocator_config).dump() +
            "|i" + std::to_string(request.profile_iterations) +
            (request.comm_overlap ? "|ow1" : "|ow0") +
            (request.refine_all ? "|ra1" : "|ra0");

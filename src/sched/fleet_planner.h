@@ -47,12 +47,9 @@ namespace xmem::sched {
 /// One queue entry: a training job with an admission priority. Queue order
 /// is priority-major (higher first), arrival-minor.
 struct FleetJob {
-  std::string id;  ///< unique; from_json fills "job-<index>" when absent
+  std::string id;  ///< unique; a request entry without one is "job-<index>"
   core::TrainJob job;
   int priority = 0;
-
-  static FleetJob from_json(const util::Json& json, std::size_t index);
-  util::Json to_json() const;
 };
 
 /// `count` identical devices. The fleet is a list of pools; slot order —
@@ -60,9 +57,6 @@ struct FleetJob {
 struct GpuPool {
   gpu::DeviceModel device;
   int count = 0;
-
-  static GpuPool from_json(const util::Json& json, const std::string& context);
-  util::Json to_json() const;
 };
 
 /// Safety margin added on top of the predicted peak before packing:
@@ -81,9 +75,6 @@ struct HeadroomPolicy {
   /// `device_name`, saturated at INT64_MAX — a demand no GPU admits.
   std::int64_t demand_for(const std::string& device_name,
                           std::int64_t predicted_peak) const;
-
-  static HeadroomPolicy from_json(const util::Json& json);
-  util::Json to_json() const;
 };
 
 /// The full packing question: queue + fleet + policy knobs. JSON
@@ -157,8 +148,6 @@ struct JobVerdict {
   std::string split;              ///< "d2,t1,p2" when a plan fallback placed it
   std::vector<Placement> placements;
   std::string reason;  ///< set for defer/reject
-
-  util::Json to_json() const;
 };
 
 /// Post-pack state of one GPU slot.
@@ -170,8 +159,6 @@ struct GpuState {
   std::int64_t committed_bytes = 0;
   std::int64_t predicted_bytes = 0;  ///< sum of placed jobs' predicted peaks
   int jobs = 0;
-
-  util::Json to_json() const;
 };
 
 /// Fleet-level outcome. All percents are integer-truncated so reports stay
@@ -211,8 +198,6 @@ struct WhatIfDelta {
   /// Job ids whose verdict improved to admit with the added pools.
   std::vector<std::string> newly_admitted;
   FleetStats stats_after;
-
-  util::Json to_json() const;
 };
 
 /// Estimation / packing work performed, proving the profile-once win:
@@ -226,8 +211,6 @@ struct FleetCounters {
   std::size_t plans_run = 0;        ///< DistributedPlanner fallback searches
   std::size_t estimates_reused = 0; ///< jobs served from the archetype cache
   std::size_t pools_repacked = 0;   ///< pools the last pack/apply touched
-
-  util::Json to_json() const;
 };
 
 struct FleetReport {
@@ -244,6 +227,10 @@ struct FleetReport {
   /// payload (golden diffs, serial-vs-threaded identity, server replies).
   util::Json to_json(bool include_timings = true) const;
 };
+
+/// The fields of every fleet report table (write-only tables, docs/API.md
+/// "Report fields"); `pools` and what-if `added_pools` reuse kPoolSchema.
+std::vector<std::vector<util::schema::FieldInfo>> report_tables();
 
 /// Incremental events. Arrival ids must be unique (empty = auto-assigned);
 /// finishing an unknown id throws std::invalid_argument.

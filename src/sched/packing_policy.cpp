@@ -35,13 +35,14 @@ class FirstFitPolicy : public PackingPolicy {
   }
 };
 
-/// One job per GPU, whatever the estimate says: commit the whole budget.
-/// The conservative baseline the paper's §1 motivates replacing.
+/// One job per GPU: commit the whole budget, or the demand when it is
+/// larger, so a job that fits no card is never admitted. The conservative
+/// baseline the paper's §1 motivates replacing.
 class WholeGpuPolicy : public FirstFitPolicy {
  public:
-  std::int64_t commit_bytes(std::int64_t,
+  std::int64_t commit_bytes(std::int64_t demand_bytes,
                             const SlotState& slot) const override {
-    return slot.budget;
+    return std::max(demand_bytes, slot.budget);
   }
 };
 

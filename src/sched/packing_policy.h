@@ -66,7 +66,7 @@ class PackingPolicy {
 
   /// Bytes a job with demand `demand_bytes` (predicted peak + headroom)
   /// commits on `slot` if placed there. The whole-gpu baseline overrides
-  /// this to the slot's full budget.
+  /// this to the slot's full budget (the demand, when that is larger).
   virtual std::int64_t commit_bytes(std::int64_t demand_bytes,
                                     const SlotState& slot) const;
 

@@ -77,53 +77,46 @@ void drain_before_close(int fd) {
   }
 }
 
+namespace schema = util::schema;
+using schema::emit;
+using schema::Int;
+
+constexpr schema::Field<ServerStats> kStatsFields[] = {
+    emit<Int, &ServerStats::frames_received>("frames_received"),
+    emit<Int, &ServerStats::requests_total>("requests_total"),
+    emit<Int, &ServerStats::data_requests>("data_requests"),
+    emit<Int, &ServerStats::executed>("executed"),
+    {{"coalesced", nullptr},
+     nullptr,
+     [](const ServerStats& stats, bool) {
+       return Int::write(stats.coalesced_total());
+     }},
+    emit<Int, &ServerStats::coalesced_inflight>("coalesced_inflight"),
+    emit<Int, &ServerStats::reply_cache_hits>("reply_cache_hits"),
+    emit<Int, &ServerStats::busy_rejections>("server_busy"),
+    emit<Int, &ServerStats::shutdown_rejections>("shutdown_rejections"),
+    emit<Int, &ServerStats::protocol_errors>("protocol_errors"),
+    emit<Int, &ServerStats::request_errors>("request_errors"),
+    emit<Int, &ServerStats::quota_rejections>("quota_rejections"),
+    emit<Int, &ServerStats::connections_accepted>("connections_accepted"),
+    emit<Int, &ServerStats::connections_rejected>("connections_rejected"),
+    emit<Int, &ServerStats::queue_depth>("queue_depth"),
+    emit<Int, &ServerStats::queue_capacity>("queue_capacity"),
+    emit<Int, &ServerStats::executing>("executing"),
+    emit<Int, &ServerStats::active_connections>("active_connections"),
+    emit<Int, &ServerStats::profiles_run>("profiles_run"),
+    emit<Int, &ServerStats::profile_cache_hits>("profile_cache_hits"),
+    emit<Int, &ServerStats::profile_entries>("profile_entries"),
+    emit<Int, &ServerStats::quota_evictions>("quota_evictions"),
+    emit<schema::Dict<Int>, &ServerStats::tenants>("tenants"),
+};
+
 }  // namespace
 
+const util::schema::Schema<ServerStats> kStatsSchema = kStatsFields;
+
 util::Json ServerStats::to_json() const {
-  util::Json json = util::Json::object();
-  json["frames_received"] = util::Json(static_cast<std::int64_t>(
-      frames_received));
-  json["requests_total"] = util::Json(static_cast<std::int64_t>(
-      requests_total));
-  json["data_requests"] = util::Json(static_cast<std::int64_t>(data_requests));
-  json["executed"] = util::Json(static_cast<std::int64_t>(executed));
-  json["coalesced"] = util::Json(static_cast<std::int64_t>(coalesced_total()));
-  json["coalesced_inflight"] = util::Json(static_cast<std::int64_t>(
-      coalesced_inflight));
-  json["reply_cache_hits"] = util::Json(static_cast<std::int64_t>(
-      reply_cache_hits));
-  json["server_busy"] = util::Json(static_cast<std::int64_t>(busy_rejections));
-  json["shutdown_rejections"] = util::Json(static_cast<std::int64_t>(
-      shutdown_rejections));
-  json["protocol_errors"] = util::Json(static_cast<std::int64_t>(
-      protocol_errors));
-  json["request_errors"] = util::Json(static_cast<std::int64_t>(
-      request_errors));
-  json["quota_rejections"] = util::Json(static_cast<std::int64_t>(
-      quota_rejections));
-  json["connections_accepted"] = util::Json(static_cast<std::int64_t>(
-      connections_accepted));
-  json["connections_rejected"] = util::Json(static_cast<std::int64_t>(
-      connections_rejected));
-  json["queue_depth"] = util::Json(static_cast<std::int64_t>(queue_depth));
-  json["queue_capacity"] = util::Json(static_cast<std::int64_t>(
-      queue_capacity));
-  json["executing"] = util::Json(static_cast<std::int64_t>(executing));
-  json["active_connections"] = util::Json(static_cast<std::int64_t>(
-      active_connections));
-  json["profiles_run"] = util::Json(static_cast<std::int64_t>(profiles_run));
-  json["profile_cache_hits"] = util::Json(static_cast<std::int64_t>(
-      profile_cache_hits));
-  json["profile_entries"] = util::Json(static_cast<std::int64_t>(
-      profile_entries));
-  json["quota_evictions"] = util::Json(static_cast<std::int64_t>(
-      quota_evictions));
-  util::Json tenant_json = util::Json::object();
-  for (const auto& [tenant, resident] : tenants) {
-    tenant_json[tenant] = util::Json(static_cast<std::int64_t>(resident));
-  }
-  json["tenants"] = std::move(tenant_json);
-  return json;
+  return util::schema::write_object(*this, kStatsSchema);
 }
 
 struct Server::Impl {

@@ -101,6 +101,10 @@ struct ServerStats {
   util::Json to_json() const;
 };
 
+/// The `stats` reply's field table (write-only, docs/API.md "Report
+/// fields").
+extern const util::schema::Schema<ServerStats> kStatsSchema;
+
 class Server {
  public:
   explicit Server(ServerConfig config);

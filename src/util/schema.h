@@ -1,15 +1,15 @@
-// Declarative JSON schemas: one field table per request type.
+// Declarative JSON schemas: one field table per request and report type.
 //
 // A table declares each field once: its JSON name, the member it binds (a
 // member-pointer chain), whether it is required, its integer range, and
-// whether it is emitted always or only when it differs from the default.
-// read_object() and write_object() walk the table, so parsing, checking and
-// canonical re-emission cannot disagree. The rules and the error format,
+// when it is written (always, when changed, while a bool member is true, or
+// with timings). read_object() and write_object() walk the table, so
+// parsing, checking and canonical re-emission cannot disagree. The rules
+// and the error format,
 //   <context>: "<field>" must be <expectation>, got <value>
-// are documented in docs/API.md "Request fields". A value with its own JSON
-// form plugs in as a codec: a class with `kExpect` (the default
-// expectation text) and static `read(json, value, path, info)` and
-// `write(value) -> Json`.
+// are in docs/API.md "Request fields" ("Report fields": write-only tables).
+// A value with its own JSON form plugs in as a codec: a class with `kExpect`
+// and static `read(json, value, path, info)` and `write(value, timings)`.
 #pragma once
 
 #include <algorithm>
@@ -46,6 +46,7 @@ enum Flags : unsigned {
   kOptional = 0,
   kRequired = 1,   ///< absence is an error; a required array is non-empty
   kIfChanged = 2,  ///< emitted only when it differs from the default
+  kTiming = 4,     ///< a wall-clock reading: emitted only with timings
 };
 
 /// The type-independent half of a field: what docs and tests enumerate.
@@ -63,8 +64,9 @@ struct FieldInfo {
 template <typename T>
 struct Field : FieldInfo {
   void (*read)(const Json& value, T& out, const Path& at,
-               const FieldInfo& info);
-  Json (*write)(const T& in);
+               const FieldInfo& info);  ///< null in write-only tables
+  Json (*write)(const T& in, bool timings);
+  bool T::*when = nullptr;  ///< set: emitted only while this member is true
 };
 
 template <typename T>
@@ -93,6 +95,12 @@ void read_object(const Json& json, T& out, const Path& at, Schema<T> fields) {
   }
 }
 
+/// The type-independent half of a table's fields, for docs and tests.
+template <typename Table>
+std::vector<FieldInfo> infos(const Table& table) {
+  return {std::begin(table), std::end(table)};
+}
+
 template <typename T>
 T parse(const Json& json, const Path& at, Schema<T> fields) {
   T out;
@@ -100,13 +108,19 @@ T parse(const Json& json, const Path& at, Schema<T> fields) {
   return out;
 }
 
+/// `timings` false leaves out every kTiming field, nested objects' too.
 template <typename T>
-Json write_object(const T& in, Schema<T> fields) {
+Json write_object(const T& in, Schema<T> fields, bool timings = true) {
   static const T defaults = T();
   Json out = Json::object();
   for (const Field<T>& field : fields) {
-    Json value = field.write(in);
-    if ((field.flags & kIfChanged) == 0 || !(value == field.write(defaults))) {
+    if ((field.when != nullptr && !(in.*field.when)) ||
+        ((field.flags & kTiming) != 0 && !timings)) {
+      continue;
+    }
+    Json value = field.write(in, timings);
+    if ((field.flags & kIfChanged) == 0 ||
+        !(value == field.write(defaults, timings))) {
       out[field.name] = std::move(value);
     }
   }
@@ -128,7 +142,14 @@ struct Int {
     out = static_cast<V>(value.as_int());
   }
   template <typename V>
-  static Json write(V value) { return Json(static_cast<std::int64_t>(value)); }
+  static Json write(V value, bool = true) {
+    return Json(static_cast<std::int64_t>(value));
+  }
+};
+
+/// A double; reports carry seconds this way.
+struct Double {
+  static Json write(double value, bool = true) { return Json(value); }
 };
 
 /// A bool or a std::string.
@@ -144,13 +165,14 @@ struct Scalar {
     if constexpr (std::is_same_v<V, bool>) out = value.as_bool();
     if constexpr (!std::is_same_v<V, bool>) out = value.as_string();
   }
-  static Json write(const V& value) { return Json(value); }
+  static Json write(const V& value, bool = true) { return Json(value); }
 };
 using Bool = Scalar<bool>;
 using Str = Scalar<std::string>;
 
 /// An enumerator by name: `Parse` throws std::invalid_argument on unknown
-/// names, and the enum's to_string() (found by ADL) writes it.
+/// names, and the enum's to_string() (found by ADL) writes it. A nullptr
+/// `Parse` makes a write-only codec.
 template <auto Parse>
 struct Enum {
   static constexpr const char* kExpect = nullptr;  // tables list the names
@@ -167,7 +189,7 @@ struct Enum {
     fail(at, info.expectation(), &value);
   }
   template <typename V>
-  static Json write(V value) { return Json(to_string(value)); }
+  static Json write(V value, bool = true) { return Json(to_string(value)); }
 };
 
 /// A nested object read through its own table.
@@ -180,7 +202,9 @@ struct Obj {
     read_object<V>(value, out, at, Table);
   }
   template <typename V>
-  static Json write(const V& value) { return write_object<V>(value, Table); }
+  static Json write(const V& value, bool timings = true) {
+    return write_object<V>(value, Table, timings);
+  }
 };
 
 /// A JSON array as a std::vector; a present array replaces the default.
@@ -201,9 +225,9 @@ struct List {
     }
   }
   template <typename V>
-  static Json write(const std::vector<V>& values) {
+  static Json write(const std::vector<V>& values, bool timings = true) {
     Json out = Json::array();
-    for (const V& value : values) out.push_back(Codec::write(value));
+    for (const V& value : values) out.push_back(Codec::write(value, timings));
     return out;
   }
 };
@@ -222,9 +246,24 @@ struct Dict {
     }
   }
   template <typename V>
-  static Json write(const std::map<std::string, V>& values) {
+  static Json write(const std::map<std::string, V>& values,
+                    bool timings = true) {
     Json out = Json::object();
-    for (const auto& [key, value] : values) out[key] = Codec::write(value);
+    for (const auto& [key, value] : values) {
+      out[key] = Codec::write(value, timings);
+    }
+    return out;
+  }
+};
+
+/// A std::pair as a two-element array, e.g. a curve's [ts, bytes] point.
+template <typename First, typename Second>
+struct Pair {
+  template <typename A, typename B>
+  static Json write(const std::pair<A, B>& value, bool timings = true) {
+    Json out = Json::array();
+    out.push_back(First::write(value.first, timings));
+    out.push_back(Second::write(value.second, timings));
     return out;
   }
 };
@@ -251,9 +290,35 @@ constexpr Field<Owner<M>> field(const char* name, unsigned flags = kOptional,
              const FieldInfo& info) {
             Codec::read(value, ((out.*M) .* ... .* Ms), at, info);
           },
-          [](const Owner<M>& in) {
-            return Codec::write(((in.*M) .* ... .* Ms));
+          [](const Owner<M>& in, bool timings) {
+            return Codec::write(((in.*M) .* ... .* Ms), timings);
           }};
+}
+
+/// A write-only field (report tables) written by `Codec` through M, Ms...;
+/// a `when` member gates it like Field::when.
+template <typename Codec, auto M, auto... Ms>
+constexpr Field<Owner<M>> emit(const char* name, unsigned flags = kOptional,
+                               bool Owner<M>::*when = nullptr) {
+  return {{name, nullptr, flags},
+          nullptr,
+          [](const Owner<M>& in, bool timings) {
+            return Codec::write(((in.*M) .* ... .* Ms), timings);
+          },
+          when};
+}
+
+/// A nested object written from other members of the owner through its
+/// own `Table`, e.g. a report's `stage_counters`.
+template <typename T, const auto& Table>
+constexpr Field<T> group(const char* name, bool T::*when = nullptr) {
+  return {{name, nullptr}, nullptr, &Obj<Table>::template write<T>, when};
+}
+
+/// A constant, e.g. a report's `schema_version`.
+template <typename T, std::int64_t V>
+constexpr Field<T> constant(const char* name) {
+  return {{name, nullptr}, nullptr, [](const T&, bool) { return Json(V); }};
 }
 
 /// An integer field; the range defaults to the member type's own range,

@@ -144,14 +144,22 @@ TEST(Pipeline, DeterministicEstimates) {
 }
 
 TEST(Pipeline, JsonRoundTripDoesNotChangeEstimate) {
-  const TrainJob job = make_job({"distilgpt2", 8, fw::OptimizerKind::kAdam});
-  XMemOptions with_json;
-  with_json.json_round_trip = true;
-  XMemOptions without_json;
-  without_json.json_round_trip = false;
-  const auto a = XMemEstimator(with_json).estimate(job, gpu::rtx3060());
-  const auto b = XMemEstimator(without_json).estimate(job, gpu::rtx3060());
-  EXPECT_EQ(a.estimated_peak, b.estimated_peak);
+  // The profiler's JSON file is the authentic path; reading it back must
+  // hand the Analyzer and Orchestrator the same trace as the in-memory one.
+  ProfileKey key;
+  key.model_name = "distilgpt2";
+  key.batch_size = 8;
+  key.optimizer = fw::OptimizerKind::kAdam;
+  key.seed = 5;
+  key.json_round_trip = true;
+  const ProfileArtifacts with_json = run_profile_pipeline(key);
+  key.json_round_trip = false;
+  const ProfileArtifacts without_json = run_profile_pipeline(key);
+  const OrchestratedSequence& a = with_json.orchestration.sequence;
+  const OrchestratedSequence& b = without_json.orchestration.sequence;
+  ASSERT_FALSE(a.events.empty());
+  EXPECT_EQ(a.events, b.events);
+  EXPECT_EQ(a.blocks.size(), b.blocks.size());
 }
 
 TEST(Pipeline, OrchestratorAblationUnderestimates) {

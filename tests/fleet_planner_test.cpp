@@ -205,6 +205,39 @@ TEST(FleetHeadroom, HugeHeadroomSaturatesAndNeverAdmits) {
   }
 }
 
+TEST(FleetPack, WholeGpuNeverAdmitsADemandAboveTheBudget) {
+  // whole-gpu commits a whole card per job, but a demand above the card's
+  // budget fits no card: a ~24 GB Qwen3-0.6B job on one 12 GB 3060, and a
+  // small job whose headroom saturates its demand at INT64_MAX. first-fit
+  // rejects both; whole-gpu must too.
+  core::EstimationService service;
+  sched::FleetRequest request;
+  request.pools = {{gpu::rtx3060(), 1}};
+  for (const char* policy : {"whole-gpu", "first-fit"}) {
+    request.policy = policy;
+    request.headroom = {};
+    request.jobs = {fleet_job(
+        "qwen", make_job("Qwen3-0.6B", 8, fw::OptimizerKind::kAdamW))};
+    sched::FleetReport report = service.fleet(request);
+    ASSERT_EQ(report.verdicts.size(), 1u);
+    ASSERT_EQ(report.gpus.size(), 1u);
+    EXPECT_GT(report.verdicts[0].demand_bytes, report.gpus[0].budget_bytes);
+    EXPECT_EQ(report.verdicts[0].verdict, sched::Verdict::kReject) << policy;
+    EXPECT_EQ(report.stats.admitted, 0) << policy;
+
+    request.headroom.base.absolute_bytes =
+        std::numeric_limits<std::int64_t>::max();
+    request.jobs = {fleet_job(
+        "small", make_job("distilgpt2", 5, fw::OptimizerKind::kSgd))};
+    report = service.fleet(request);
+    ASSERT_EQ(report.verdicts.size(), 1u);
+    EXPECT_EQ(report.verdicts[0].demand_bytes,
+              std::numeric_limits<std::int64_t>::max());
+    EXPECT_NE(report.verdicts[0].verdict, sched::Verdict::kAdmit) << policy;
+    EXPECT_EQ(report.stats.admitted, 0) << policy;
+  }
+}
+
 TEST(FleetPack, PriorityOutranksQueuePosition) {
   // Two gpt2/b8 jobs contend for one 3060; the later, higher-priority job
   // must win the slot.

@@ -8,9 +8,12 @@
 //   * every other field rejects a JSON number where it expects something
 //     else, and every required field is reported when missing;
 //   * unknown keys are rejected by name in every object;
-//   * every field name appears in docs/API.md (the drift guard).
+//   * every field name appears in docs/API.md (the drift guard), request
+//     tables under "Request fields" and report tables under "Report fields".
 // Each error must name the field. The inputs that motivated the tables are
-// pinned as explicit regressions at the bottom.
+// pinned as explicit regressions at the bottom. The report tables (write-
+// only) are also checked for the one emission rule they share: a timed
+// rendering is the untimed one plus its timing keys.
 #include <cstdint>
 #include <fstream>
 #include <map>
@@ -22,6 +25,7 @@
 
 #include "core/estimation_service.h"
 #include "sched/fleet_planner.h"
+#include "server/server.h"
 
 namespace {
 
@@ -193,25 +197,128 @@ TEST(RequestSchema, UnknownKeysAreRejectedByName) {
   }
 }
 
-TEST(RequestSchema, EveryFieldIsDocumented) {
-  std::ifstream in(std::string(XMEM_DOCS_DIR) + "/API.md");
-  ASSERT_TRUE(in) << "missing docs/API.md";
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in) << "missing " << path;
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  const std::string docs = buffer.str();
-  const std::size_t section = docs.find("## Request fields");
-  ASSERT_NE(section, std::string::npos) << "docs/API.md lost its section";
+  return buffer.str();
+}
+
+// The text of a "## <heading>" section of docs/API.md, up to the next one.
+std::string docs_section(const std::string& heading) {
+  const std::string docs = read_file(std::string(XMEM_DOCS_DIR) + "/API.md");
+  const std::size_t start = docs.find("\n## " + heading + "\n");
+  EXPECT_NE(start, std::string::npos) << "docs/API.md lost " << heading;
+  if (start == std::string::npos) return "";
+  const std::size_t end = docs.find("\n## ", start + 1);
+  return docs.substr(start, end == std::string::npos ? end : end - start);
+}
+
+void expect_documented(const std::string& section, const std::string& heading,
+                       const std::string& table, const char* field) {
+  EXPECT_NE(section.find(std::string("`") + field + "`"), std::string::npos)
+      << table << " field " << field << " is missing from docs/API.md \""
+      << heading << "\"";
+}
+
+TEST(RequestSchema, EveryFieldIsDocumented) {
+  const std::string section = docs_section("Request fields");
   for (const Table& table : all_tables()) {
     for (const util::schema::FieldInfo& field : table.fields) {
-      std::string quoted = "`";
-      quoted += field.name;
-      quoted += '`';
-      EXPECT_NE(docs.find(quoted, section),
-                std::string::npos)
-          << table.name << " field " << field.name
-          << " is missing from docs/API.md \"Request fields\"";
+      expect_documented(section, "Request fields", table.name, field.name);
     }
   }
+}
+
+// --- report tables -----------------------------------------------------------
+
+TEST(ReportSchema, EveryFieldIsDocumented) {
+  std::vector<std::vector<util::schema::FieldInfo>> tables =
+      core::report_tables();
+  for (auto& table : sched::report_tables()) tables.push_back(table);
+  tables.push_back(util::schema::infos(server::kStatsSchema));
+  EXPECT_GE(tables.size(), 20u);
+  const std::string section = docs_section("Report fields");
+  for (const auto& table : tables) {
+    for (const util::schema::FieldInfo& field : table) {
+      EXPECT_EQ(field.flags & util::schema::kRequired, 0u) << field.name;
+      expect_documented(section, "Report fields", "report", field.name);
+    }
+  }
+}
+
+// Drop every timing key ("timings" objects and "wall_seconds") in place;
+// returns how many "timings" objects there were, after checking each holds
+// exactly the StageTimings keys.
+std::size_t strip_timings(util::Json& json) {
+  std::size_t timings = 0;
+  if (json.is_array()) {
+    for (util::Json& element : json.as_array()) {
+      timings += strip_timings(element);
+    }
+  }
+  if (!json.is_object()) return timings;
+  util::JsonObject& object = json.as_object();
+  if (const auto it = object.find("timings"); it != object.end()) {
+    std::vector<std::string> keys;
+    for (const auto& [key, value] : it->second.as_object()) {
+      keys.push_back(key);
+    }
+    EXPECT_EQ(keys, (std::vector<std::string>{
+                        "analyze_seconds", "profile_cache_hit",
+                        "profile_seconds", "result_cache_hit",
+                        "simulate_seconds", "total_seconds"}));
+    object.erase(it);
+    ++timings;
+  }
+  object.erase("wall_seconds");
+  for (auto& [key, value] : object) timings += strip_timings(value);
+  return timings;
+}
+
+// The timed rendering of `report`, minus its timing keys, must dump
+// byte-identical to the untimed one. Returns the timings objects seen.
+template <typename Report>
+std::size_t expect_timed_is_untimed_plus_timings(const Report& report) {
+  util::Json timed = report.to_json(/*include_timings=*/true);
+  EXPECT_TRUE(timed.contains("wall_seconds"));
+  const std::size_t timings = strip_timings(timed);
+  EXPECT_EQ(timed.dump(2), report.to_json(/*include_timings=*/false).dump(2));
+  return timings;
+}
+
+util::Json fixture(const std::string& name) {
+  return util::Json::parse(read_file(std::string(XMEM_FIXTURE_DIR) + "/" +
+                                     name));
+}
+
+TEST(ReportSchema, TimedRenderingIsTheUntimedOnePlusTimingKeys) {
+  core::EstimationService service;
+  // A curve-on sweep with an unsupported (LLMem x CNN) entry.
+  const core::EstimateReport sweep = service.sweep(
+      core::EstimateRequest::from_json(fixture("sweep_request_curve.json")));
+  ASSERT_EQ(sweep.entries.size(), 2u);
+  EXPECT_FALSE(sweep.entries[0].reserved_curve.empty());
+  EXPECT_FALSE(sweep.entries[1].supported);
+  EXPECT_EQ(expect_timed_is_untimed_plus_timings(sweep), 2u);
+
+  // A refine-all plan with overlap windows: every gated plan key is on.
+  core::PlanRequest plan_request =
+      core::PlanRequest::from_json(fixture("plan_request_overlap.json"));
+  plan_request.refine_all = true;
+  const core::PlanReport plan = service.plan(plan_request);
+  ASSERT_TRUE(plan.comm_overlap);
+  ASSERT_FALSE(plan.candidates.empty());
+  EXPECT_TRUE(plan.candidates[0].replayed && plan.candidates[0].window_mode);
+  EXPECT_EQ(expect_timed_is_untimed_plus_timings(plan),
+            plan.single_device_entries.size());
+
+  // A fleet pack with what-if pools.
+  const sched::FleetReport fleet = service.fleet(
+      sched::FleetRequest::from_json(fixture("fleet_request.json")));
+  ASSERT_TRUE(fleet.what_if.has_value());
+  EXPECT_EQ(expect_timed_is_untimed_plus_timings(fleet), 0u);
 }
 
 // --- the inputs that motivated the field tables ---------------------------
